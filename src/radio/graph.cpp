@@ -1,8 +1,10 @@
 #include "radio/graph.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/contracts.hpp"
+#include "radio/hugepages.hpp"
 
 namespace emis {
 
@@ -157,8 +159,8 @@ std::uint32_t Graph::ConnectedComponents(std::vector<std::uint32_t>& component) 
 
 Graph Graph::Square() const {
   // Two-hop enumeration produces the same pair many times (once per common
-  // neighbor); append them all and let Build() sort+unique once instead of
-  // paying a hash probe per candidate.
+  // neighbor); append them all and let Build() collapse the repeats with a
+  // per-row unique instead of paying a hash probe per candidate.
   GraphBuilder builder(NumNodes());
   builder.Reserve(NumEdges() * 2);
   for (NodeId v = 0; v < NumNodes(); ++v) {
@@ -201,6 +203,11 @@ bool Graph::IsConnected() const {
   return ConnectedComponents(component) == 1;
 }
 
+void GraphBuilder::Reserve(std::uint64_t edges) {
+  edges_.reserve(edges);
+  AdviseHugePages(edges_.data(), edges_.capacity() * sizeof(Edge));
+}
+
 GraphBuilder& GraphBuilder::AddEdge(NodeId u, NodeId v) {
   EMIS_REQUIRE(u < num_nodes_ && v < num_nodes_, "node out of range");
   EMIS_REQUIRE(u != v, "self-loops are not allowed");
@@ -240,38 +247,74 @@ void GraphBuilder::AddEdgeDedup(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::Build() && {
-  // Sort; with AddEdgeDedup in play duplicates are collapsed here, otherwise
-  // they are a caller error.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  if (dedup_at_build_) {
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  } else {
-    EMIS_REQUIRE(std::adjacent_find(edges_.begin(), edges_.end()) == edges_.end(),
-                 "duplicate edge");
-  }
-
+  // Counting-sort construction, O(n + m) plus unsorted-row sorts (see the
+  // class comment); there is no global edge sort.
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
+  std::vector<std::uint64_t>& offsets = g.offsets_;
+  std::vector<NodeId>& adjacency = g.adjacency_;
+  offsets.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
   for (const Edge& e : edges_) {
-    ++g.offsets_[e.u + 1];
-    ++g.offsets_[e.v + 1];
+    ++offsets[e.u];
+    ++offsets[e.v];
   }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
+  // Inclusive prefix sums: offsets[v] is the end of row v for now, and the
+  // scatter below counts it down to the row's start, so no separate cursor
+  // array is needed. offsets[n] is already the total entry count.
+  std::uint64_t total = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v) offsets[v] = total += offsets[v];
+  offsets[num_nodes_] = total;
 
-  g.adjacency_.resize(edges_.size() * 2);
-  std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    g.adjacency_[cursor[e.u]++] = e.v;
-    g.adjacency_[cursor[e.v]++] = e.u;
+  // Scatter both directions, walking the edges backwards so each row keeps
+  // insertion order. Lexicographic streams (G(n, p), grids, complete graphs)
+  // therefore arrive with every row already sorted. The writes go to up to n
+  // rows at once, so each target line is prefetched a few edges ahead, and
+  // the array is backed by huge pages to keep those writes off the TLB.
+  constexpr std::size_t kPrefetchAhead = 32;
+  ReserveHuge(adjacency, total);
+  const Edge* edges = edges_.data();
+  for (std::size_t i = edges_.size(); i-- > 0;) {
+    if (i >= kPrefetchAhead) {
+      const Edge& ahead = edges[i - kPrefetchAhead];
+      __builtin_prefetch(&adjacency[offsets[ahead.u] - 1], /*rw=*/1, /*locality=*/0);
+      __builtin_prefetch(&adjacency[offsets[ahead.v] - 1], /*rw=*/1, /*locality=*/0);
+    }
+    adjacency[--offsets[edges[i].u]] = edges[i].v;
+    adjacency[--offsets[edges[i].v]] = edges[i].u;
   }
+  std::vector<Edge>().swap(edges_);
+
+  // Finalise rows in one pass: sort the rows that need it, then collapse
+  // (AddEdgeDedup) or reject duplicates. {u, v} is stored in row u once per
+  // insertion in either orientation, so a duplicate is adjacent once the row
+  // is sorted. Dedup shifts rows left in place, so offsets[v] is rewritten
+  // only after row v's old extent has been read.
+  std::uint64_t out = 0;
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    auto begin = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
-    auto end = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-    g.max_degree_ = std::max<std::uint32_t>(
-        g.max_degree_, static_cast<std::uint32_t>(end - begin));
+    const std::uint64_t begin = offsets[v];
+    const auto first = adjacency.begin() + static_cast<std::ptrdiff_t>(begin);
+    auto last = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    // Strictly increasing means sorted and duplicate-free: one scan for the
+    // common case.
+    if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+      if (!std::is_sorted(first, last)) std::sort(first, last);
+      if (dedup_at_build_) {
+        last = std::unique(first, last);
+      } else {
+        EMIS_REQUIRE(std::adjacent_find(first, last) == last, "duplicate edge");
+      }
+    }
+    if (out != begin) {
+      std::move(first, last, adjacency.begin() + static_cast<std::ptrdiff_t>(out));
+    }
+    offsets[v] = out;
+    const auto degree = static_cast<std::uint32_t>(last - first);
+    out += degree;
+    g.max_degree_ = std::max(g.max_degree_, degree);
+  }
+  offsets[num_nodes_] = out;
+  if (out != adjacency.size()) {
+    adjacency.resize(out);
+    adjacency.shrink_to_fit();
   }
   return g;
 }

@@ -240,23 +240,33 @@ class ResidualGraph {
 
 /// Incremental construction helper used by the generators.
 ///
+/// Build() is O(n + m) plus the cost of sorting rows that arrive unsorted:
+/// it counts degrees, scatters both directions of every pending edge into
+/// the CSR in insertion order, frees the pending list, then finalises each
+/// row (sorted only if it is not already, duplicates checked, Δ recomputed).
+/// Edges streamed in lexicographic order — G(n, p), grids, complete graphs
+/// — need no sorting at all. A simple graph with sorted rows has exactly
+/// one CSR, so the result never depends on insertion order or orientation.
+///
 /// Three edge-insertion styles with different cost profiles:
 ///   * AddEdge — append-only; the bulk-generator fast path. No hash-set
 ///     work unless AddEdgeIfAbsent has been called on this builder.
 ///   * AddEdgeIfAbsent — membership-checked insert (needs the answer *now*,
 ///     e.g. to count distinct edges). The membership set is materialized
 ///     lazily on first use, so pure-AddEdge builders never pay for it.
-///   * AddEdgeDedup — append now, deduplicate once inside Build() via
-///     sort + unique. Cheapest way to insert a stream with many repeats
-///     when the caller does not need per-insert feedback (e.g. Square()).
+///   * AddEdgeDedup — append now; Build() collapses repeats with a per-row
+///     unique and shifts rows left in place. Cheapest way to insert a
+///     stream with many repeats when the caller does not need per-insert
+///     feedback (e.g. Square()). The CSR is sized by pending insertions
+///     until the repeats are removed.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {}
 
-  /// Pre-allocates the pending-edge list for `edges` insertions. Purely an
-  /// allocation hint; generators with a known or expected edge count use it
-  /// to avoid growth reallocations.
-  void Reserve(std::uint64_t edges) { edges_.reserve(edges); }
+  /// Pre-allocates the pending-edge list for `edges` insertions (huge-page
+  /// advised). Purely an allocation hint; generators with a known or
+  /// expected edge count use it to avoid growth reallocations.
+  void Reserve(std::uint64_t edges);
 
   /// Adds the undirected edge {u, v}. Adding an existing edge or a self-loop
   /// throws PreconditionError (at AddEdge time for self-loops, at Build time
@@ -268,8 +278,9 @@ class GraphBuilder {
   /// Edges inserted later via AddEdgeDedup are invisible to this check.
   bool AddEdgeIfAbsent(NodeId u, NodeId v);
 
-  /// Appends {u, v} (u != v required) without any membership check;
-  /// duplicates are silently collapsed by Build(). O(1), no hashing.
+  /// Appends {u, v} (u != v required) without any membership check and arms
+  /// dedup-at-build: Build() then collapses every repeated edge, including
+  /// repeats of AddEdge edges, instead of rejecting it. O(1), no hashing.
   void AddEdgeDedup(NodeId u, NodeId v);
 
   NodeId num_nodes() const noexcept { return num_nodes_; }

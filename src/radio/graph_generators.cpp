@@ -24,34 +24,26 @@ void SampleBernoulliPairs(NodeId n, double p, Rng& rng, EmitEdge emit) {
   const double log1mp = std::log1p(-p);
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t pos = 0;
+  // Row r owns the n-1-r positions [row_begin, row_end) of pairs (r, r+1..).
+  // Positions only grow, so a forward cursor decodes them in O(n + m) total
+  // (Batagelj & Brandes 2005) rather than a binary search per edge.
+  NodeId row = 0;
+  std::uint64_t row_begin = 0;
+  std::uint64_t row_end = n - 1;
   for (;;) {
     const double u = std::max(rng.UniformUnit(), 1e-300);  // avoid log(0)
-    const double skip = std::floor(std::log(u) / log1mp);
+    // The gap is positive, so truncation is its floor; and total - pos is a
+    // whole number, so testing the unfloored gap against it is equivalent.
+    const double skip = std::log(u) / log1mp;
     if (skip >= static_cast<double>(total - pos)) return;
     pos += static_cast<std::uint64_t>(skip);
     if (pos >= total) return;
-    // Decode position -> (row u, col v). Row r owns (n-1-r) pairs.
-    std::uint64_t remaining = pos;
-    NodeId row = 0;
-    // Binary search over rows for O(log n) decode.
-    {
-      NodeId lo = 0, hi = n - 1;
-      // prefix(r) = pairs before row r = r*n - r - r(r-1)/2... use direct sum:
-      auto prefix = [n](std::uint64_t r) {
-        return r * n - r - r * (r - 1) / 2;
-      };
-      while (lo < hi) {
-        const NodeId mid = lo + (hi - lo + 1) / 2;
-        if (prefix(mid) <= remaining)
-          lo = mid;
-        else
-          hi = mid - 1;
-      }
-      row = lo;
-      remaining -= prefix(row);
+    while (pos >= row_end) {
+      ++row;
+      row_begin = row_end;
+      row_end += n - 1 - row;
     }
-    const NodeId col = static_cast<NodeId>(row + 1 + remaining);
-    emit(row, col);
+    emit(row, static_cast<NodeId>(row + 1 + (pos - row_begin)));
     ++pos;
     if (pos >= total) return;
   }

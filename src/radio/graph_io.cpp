@@ -143,14 +143,27 @@ Graph MapBinaryCsr(const std::string& path) {
   EMIS_REQUIRE(header.file_size == size,
                "emis-csr file truncated or padded: size does not match header");
   EMIS_REQUIRE(header.num_nodes < ~NodeId{0}, "emis-csr node count overflows NodeId");
-  const std::uint64_t offsets_bytes = (header.num_nodes + 1) * sizeof(std::uint64_t);
-  const std::uint64_t adjacency_bytes = header.adj_entries * sizeof(NodeId);
+  // Every size and end below comes from untrusted header fields, so each
+  // product and sum is overflow-checked: a wrapped value could otherwise
+  // pass the bounds test and point the views outside the mapping.
+  std::uint64_t offsets_bytes = 0;
+  std::uint64_t adjacency_bytes = 0;
+  std::uint64_t offsets_end = 0;
+  std::uint64_t adjacency_end = 0;
+  EMIS_REQUIRE(!__builtin_mul_overflow(header.num_nodes + 1, sizeof(std::uint64_t),
+                                       &offsets_bytes) &&
+                   !__builtin_mul_overflow(header.adj_entries, sizeof(NodeId),
+                                           &adjacency_bytes) &&
+                   !__builtin_add_overflow(header.offsets_start, offsets_bytes,
+                                           &offsets_end) &&
+                   !__builtin_add_overflow(header.adjacency_start, adjacency_bytes,
+                                           &adjacency_end),
+               "emis-csr header sizes overflow");
   EMIS_REQUIRE(header.offsets_start % kCsrAlign == 0 &&
                    header.adjacency_start % kCsrAlign == 0,
                "emis-csr sections must be 64-byte aligned");
   EMIS_REQUIRE(header.offsets_start >= kCsrHeaderBytes &&
-                   header.offsets_start + offsets_bytes <= header.adjacency_start &&
-                   header.adjacency_start + adjacency_bytes <= size,
+                   offsets_end <= header.adjacency_start && adjacency_end <= size,
                "emis-csr section bounds exceed the file");
 
   const char* bytes = static_cast<const char*>(base);

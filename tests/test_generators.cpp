@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 namespace emis {
 namespace {
@@ -199,6 +203,88 @@ TEST(Generators, EmptyGenerator) {
   Graph g = gen::Empty(9);
   EXPECT_EQ(g.NumNodes(), 9u);
   EXPECT_EQ(g.NumEdges(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-level pins. Each case hashes the full CSR (row offsets, adjacency,
+// then Δ) with 64-bit FNV-1a, so any change to which edges a generator emits,
+// to the row order, or to the construction path that lays them out fails
+// here. The expected values were recorded from the earlier sort-based
+// builder and binary-search G(n, p) decoder, so they also prove the current
+// construction path produces the same bytes.
+
+std::uint64_t CsrHash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.RowOffsets().data(), g.RowOffsets().size_bytes());
+  mix(g.Adjacency().data(), g.Adjacency().size_bytes());
+  const std::uint32_t max_degree = g.MaxDegree();
+  mix(&max_degree, sizeof(max_degree));
+  return h;
+}
+
+/// Every second-or-third node of `g` in a seeded shuffled order, so
+/// Induced() sees an unsorted selection.
+std::vector<NodeId> ShuffledSelection(const Graph& g, Rng& rng) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (rng.UniformBelow(3) != 0) nodes.push_back(v);
+  }
+  for (std::size_t i = nodes.size(); i > 1; --i) {
+    std::swap(nodes[i - 1], nodes[rng.UniformBelow(i)]);
+  }
+  return nodes;
+}
+
+struct PinnedGraph {
+  const char* name;
+  std::function<Graph()> make;
+  std::uint64_t hash;
+};
+
+TEST(Generators, CsrBytesArePinned) {
+  const std::vector<PinnedGraph> cases = {
+      {"er n=4096 p=0.01", [] { Rng r(101); return gen::ErdosRenyi(4096, 0.01, r); },
+       0x238f65fa30a7fe15ULL},
+      {"er n=300 p=0.5", [] { Rng r(102); return gen::ErdosRenyi(300, 0.5, r); },
+       0x9e2ada3f0ece49caULL},
+      {"udg n=3000 r=0.04", [] { Rng r(103); return gen::RandomGeometric(3000, 0.04, r); },
+       0x3ae1591e133c1263ULL},
+      {"udg n=500 r=0.2", [] { Rng r(104); return gen::RandomGeometric(500, 0.2, r); },
+       0x5dba1a9665780ab2ULL},
+      {"gnm n=2000 m=12000", [] { Rng r(105); return gen::GnM(2000, 12000, r); },
+       0xdee739c91f0766caULL},
+      {"ba n=2000 m=4", [] { Rng r(106); return gen::BarabasiAlbert(2000, 4, r); },
+       0xb94b97392c47b648ULL},
+      {"tree n=3000", [] { Rng r(107); return gen::RandomTree(3000, r); },
+       0x74230ed364eec7d0ULL},
+      {"regular n=2000 d=7", [] { Rng r(108); return gen::NearRegular(2000, 7, r); },
+       0xdb63d8f1f7be55ecULL},
+      {"grid 40x50", [] { return gen::Grid(40, 50); },
+       0xe3c22155c247c0d9ULL},
+      {"complete n=64", [] { return gen::Complete(64); },
+       0x1c1848b71a3dc3aULL},
+      {"udg square", [] { Rng r(109); return gen::RandomGeometric(1000, 0.05, r).Square(); },
+       0xa8e267e3c50f017aULL},
+      {"tree square", [] { Rng r(110); return gen::RandomTree(1000, r).Square(); },
+       0x404460ad93096a15ULL},
+      {"er induced", [] {
+         Rng r(111);
+         const Graph g = gen::ErdosRenyi(2000, 0.01, r);
+         return g.Induced(ShuffledSelection(g, r)).graph;
+       },
+       0x19706d682690f5f6ULL},
+  };
+  for (const PinnedGraph& c : cases) {
+    const std::uint64_t actual = CsrHash(c.make());
+    EXPECT_EQ(actual, c.hash) << c.name << ": got 0x" << std::hex << actual;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "radio/graph_generators.hpp"
+#include "radio/rng.hpp"
 
 namespace emis {
 namespace {
@@ -126,6 +134,176 @@ TEST(GraphBuilder, ReserveDoesNotChangeTheResult) {
   Graph g = std::move(b).Build();
   EXPECT_EQ(g.NumNodes(), 3u);
   EXPECT_EQ(g.NumEdges(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Builder properties against a std::set reference
+
+using EdgeSet = std::set<std::pair<NodeId, NodeId>>;  // normalized u < v
+
+/// Asserts that `g` is exactly the simple graph on `n` nodes with edge set
+/// `edges`: row offsets, sorted rows and Δ all as a direct CSR would have
+/// them.
+void ExpectCsrEquals(const Graph& g, NodeId n, const EdgeSet& edges) {
+  std::vector<std::vector<NodeId>> rows(n);
+  for (const auto& [u, v] : edges) {
+    rows[u].push_back(v);
+    rows[v].push_back(u);
+  }
+  ASSERT_EQ(g.NumNodes(), n);
+  ASSERT_EQ(g.NumEdges(), edges.size());
+  std::uint64_t offset = 0;
+  std::uint32_t max_degree = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    std::sort(rows[v].begin(), rows[v].end());
+    ASSERT_EQ(g.RowOffsets()[v], offset) << "node " << v;
+    const auto nbrs = g.Neighbors(v);
+    ASSERT_EQ(std::vector<NodeId>(nbrs.begin(), nbrs.end()), rows[v]) << "node " << v;
+    offset += rows[v].size();
+    max_degree = std::max(max_degree, static_cast<std::uint32_t>(rows[v].size()));
+  }
+  EXPECT_EQ(g.RowOffsets()[n], offset);
+  EXPECT_EQ(g.MaxDegree(), max_degree);
+}
+
+/// Adds {u, v} in a random orientation.
+void AddRandomlyOriented(GraphBuilder& b, NodeId u, NodeId v, Rng& rng, bool dedup) {
+  if (rng.Bit()) std::swap(u, v);
+  if (dedup) {
+    b.AddEdgeDedup(u, v);
+  } else {
+    b.AddEdge(u, v);
+  }
+}
+
+TEST(GraphBuilder, ShuffledEdgeListsMatchSetReference) {
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    Rng rng(trial);
+    const auto n = static_cast<NodeId>(2 + rng.UniformBelow(60));
+    // Endpoints drawn below `span` leave nodes span..n-1 isolated.
+    const auto span = static_cast<NodeId>(2 + rng.UniformBelow(n - 1));
+    EdgeSet edges;
+    const std::uint64_t draws = rng.UniformBelow(3ULL * span * span / 4 + 1);
+    for (std::uint64_t i = 0; i < draws; ++i) {
+      const auto u = static_cast<NodeId>(rng.UniformBelow(span));
+      const auto v = static_cast<NodeId>(rng.UniformBelow(span));
+      if (u != v) edges.emplace(std::min(u, v), std::max(u, v));
+    }
+    std::vector<std::pair<NodeId, NodeId>> order(edges.begin(), edges.end());
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.UniformBelow(i)]);
+    }
+    GraphBuilder b(n);
+    for (const auto& [u, v] : order) AddRandomlyOriented(b, u, v, rng, /*dedup=*/false);
+    ExpectCsrEquals(std::move(b).Build(), n, edges);
+  }
+}
+
+TEST(GraphBuilder, DedupWithHeavyRepeatsMatchesSetReference) {
+  for (std::uint64_t trial = 0; trial < 100; ++trial) {
+    Rng rng(1000 + trial);
+    const auto n = static_cast<NodeId>(2 + rng.UniformBelow(24));
+    EdgeSet edges;
+    GraphBuilder b(n);
+    // ~8 insertions per distinct pair on average, both orientations.
+    for (std::uint64_t i = 0; i < 4ULL * n * n; ++i) {
+      const auto u = static_cast<NodeId>(rng.UniformBelow(n));
+      const auto v = static_cast<NodeId>(rng.UniformBelow(n));
+      if (u == v) continue;
+      edges.emplace(std::min(u, v), std::max(u, v));
+      AddRandomlyOriented(b, u, v, rng, /*dedup=*/true);
+    }
+    ExpectCsrEquals(std::move(b).Build(), n, edges);
+  }
+}
+
+TEST(GraphBuilder, ReversedDuplicateThrowsDuplicateEdge) {
+  // Node 4's row arrives unsorted (7, 2, 5, 2), so the duplicate is only
+  // adjacent after the row sort.
+  GraphBuilder b(8);
+  b.AddEdge(4, 7);
+  b.AddEdge(2, 4);
+  b.AddEdge(5, 4);
+  b.AddEdge(4, 2);
+  try {
+    std::move(b).Build();
+    ADD_FAILURE() << "duplicate edge accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate edge"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphBuilder, TinyAndIsolatedNodeCounts) {
+  ExpectCsrEquals(GraphBuilder(0).Build(), 0, {});
+  ExpectCsrEquals(GraphBuilder(1).Build(), 1, {});
+
+  // Trailing isolated nodes keep the last row offset at the entry count, also
+  // after dedup has shifted the rows left.
+  for (const bool dedup : {false, true}) {
+    GraphBuilder b(10);
+    b.AddEdge(3, 0);
+    b.AddEdge(1, 2);
+    b.AddEdge(2, 3);
+    if (dedup) {
+      b.AddEdgeDedup(0, 3);
+      b.AddEdgeDedup(2, 1);
+    }
+    const Graph g = std::move(b).Build();
+    ExpectCsrEquals(g, 10, {{0, 3}, {1, 2}, {2, 3}});
+    for (NodeId v = 4; v <= 10; ++v) EXPECT_EQ(g.RowOffsets()[v], 6u);
+    EXPECT_EQ(g.Adjacency().size(), 6u);
+  }
+}
+
+/// The G(n, p) sampler as it was before its forward row cursor: the same
+/// geometric skips, with each position decoded by binary search over rows.
+std::vector<Edge> BinarySearchErdosRenyi(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> edges;
+  if (n < 2 || p <= 0.0) return edges;
+  if (p >= 1.0) {
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = u + 1; v < n; ++v) edges.push_back({u, v});
+    return edges;
+  }
+  const double log1mp = std::log1p(-p);
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  const auto prefix = [n](std::uint64_t r) { return r * n - r - r * (r - 1) / 2; };
+  std::uint64_t pos = 0;
+  for (;;) {
+    const double u = std::max(rng.UniformUnit(), 1e-300);
+    const double skip = std::floor(std::log(u) / log1mp);
+    if (skip >= static_cast<double>(total - pos)) return edges;
+    pos += static_cast<std::uint64_t>(skip);
+    if (pos >= total) return edges;
+    NodeId lo = 0, hi = n - 1;
+    while (lo < hi) {
+      const NodeId mid = lo + (hi - lo + 1) / 2;
+      if (prefix(mid) <= pos) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    edges.push_back({lo, static_cast<NodeId>(lo + 1 + (pos - prefix(lo)))});
+    ++pos;
+    if (pos >= total) return edges;
+  }
+}
+
+TEST(ErdosRenyi, MatchesBinarySearchDecoder) {
+  // Tiny n puts most sampled positions on or next to a row boundary.
+  for (const NodeId n : {2u, 3u, 5u, 64u}) {
+    for (const double p : {0.3, 1.0}) {
+      for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        Rng a(seed), b(seed);
+        const std::vector<Edge> expected = BinarySearchErdosRenyi(n, p, a);
+        EXPECT_EQ(gen::ErdosRenyi(n, p, b).EdgeList(), expected)
+            << "n=" << n << " p=" << p << " seed=" << seed;
+        EXPECT_EQ(a.NextU64(), b.NextU64()) << "RNG streams diverged";
+      }
+    }
+  }
 }
 
 TEST(Graph, InducedSubgraph) {

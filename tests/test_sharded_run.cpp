@@ -14,14 +14,20 @@
 //     the declared cost observables (run.shards, chan.merge_words,
 //     parallel.* gauges, wall-clock timers, alloc).
 // Format contract: pack -> mmap round-trips the exact CSR arrays, and the
-// loader rejects truncation, bad magic, bad version and foreign endianness.
+// loader rejects truncation, bad magic, bad version, foreign endianness and
+// header sizes whose arithmetic overflows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/contracts.hpp"
 #include "core/runner.hpp"
@@ -164,6 +170,59 @@ TEST(BinaryCsr, RejectsBadMagicVersionAndForeignEndianness) {
   const std::string bad_version = TempPath("bad_version.csr");
   CorruptByte(good, bad_version, 12, 9);  // version field at bytes 12..15
   EXPECT_THROW(MapBinaryCsr(bad_version), PreconditionError);
+}
+
+/// Copies `src` to `dst` with each (byte offset, value) u64 patched in.
+void PatchU64(const std::string& src, const std::string& dst,
+              const std::vector<std::pair<std::size_t, std::uint64_t>>& patches) {
+  std::ifstream in(src, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  for (const auto& [at, value] : patches) {
+    ASSERT_GE(bytes.size(), at + sizeof(value));
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+  }
+  std::ofstream out(dst, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void ExpectOverflowRejected(const std::string& path) {
+  try {
+    MapBinaryCsr(path);
+    ADD_FAILURE() << path << " was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos) << e.what();
+  }
+  // The CLI turns the typed error into a usage exit, never a crash.
+  const std::string cmd = std::string(EMIS_CLI_PATH) + " run --graph csr:" + path +
+                          " --alg cd --quiet 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+}
+
+TEST(BinaryCsr, RejectsHeaderSizesThatOverflow) {
+  Rng rng(7);
+  const Graph g = gen::ErdosRenyi(64, 0.1, rng);
+  const std::string good = TempPath("sizes_good.csr");
+  PackTo(good, g);
+  constexpr std::size_t kAdjEntriesAt = 24;
+  constexpr std::size_t kOffsetsStartAt = 40;
+  constexpr std::size_t kOffsetsAt = 64;  // the packer's offsets_start
+
+  // adj_entries * 4 wraps to 0. The last row offset is patched to match, so
+  // only the overflow check stands between this file and a 2^62-entry view.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  const std::string entries = TempPath("adj_entries_overflow.csr");
+  PatchU64(good, entries,
+           {{kAdjEntriesAt, huge}, {kOffsetsAt + 8 * std::size_t{g.NumNodes()}, huge}});
+  ExpectOverflowRejected(entries);
+
+  // offsets_start + (n + 1) * 8 wraps past 2^64 to a small, in-bounds end
+  // (still 64-byte aligned, so the alignment check alone would pass it).
+  const std::string start = TempPath("offsets_start_overflow.csr");
+  PatchU64(good, start, {{kOffsetsStartAt, ~std::uint64_t{0} - 63}});
+  ExpectOverflowRejected(start);
 }
 
 TEST(BinaryCsr, MappedGraphRunsIdenticallyToOwnedGraph) {

@@ -40,6 +40,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase_timeline.hpp"
 #include "obs/report.hpp"
+#include "obs/scoped_timer.hpp"
 #include "obs/stream_sink.hpp"
 #include "radio/graph_io.hpp"
 #include "verify/experiment.hpp"
@@ -184,13 +185,19 @@ int CmdGraphPack(const Flags& flags) {
   const std::string out_path = flags.Get("out");
   EMIS_REQUIRE(!out_path.empty(), "graph pack needs --out FILE.csr");
   const std::uint64_t seed = std::stoull(flags.Get("seed", "1"));
+  const double generate_begin = obs::MonotonicSeconds();
   const Graph g = LoadGraph(graph_spec, seed);
+  const double write_begin = obs::MonotonicSeconds();
   std::ofstream out(out_path, std::ios::binary);
   EMIS_REQUIRE(out.good(), "cannot write '" + out_path + "'");
   WriteBinaryCsr(out, g);
   out.flush();
   EMIS_REQUIRE(out.good(), "write to '" + out_path + "' failed");
+  const double write_end = obs::MonotonicSeconds();
   if (!flags.Has("quiet")) {
+    // Stage times go to stderr so stdout stays byte-stable across runs.
+    std::fprintf(stderr, "generate %.3f s, write %.3f s\n",
+                 write_begin - generate_begin, write_end - write_begin);
     std::printf("packed %u nodes, %llu edges (max degree %u) into %s\n",
                 g.NumNodes(), static_cast<unsigned long long>(g.NumEdges()),
                 g.MaxDegree(), out_path.c_str());
