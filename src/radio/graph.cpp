@@ -5,8 +5,21 @@
 
 #include "core/contracts.hpp"
 #include "radio/hugepages.hpp"
+#include "verify/parallel.hpp"
 
 namespace emis {
+namespace {
+
+// Node bitsets, 64 nodes per word (ResidualGraph's active and batch sets).
+bool TestBit(const std::uint64_t* bits, NodeId v) noexcept {
+  return ((bits[v >> 6] >> (v & 63)) & 1u) != 0;
+}
+void SetBit(std::uint64_t* bits, NodeId v) noexcept { bits[v >> 6] |= 1ULL << (v & 63); }
+void ClearBit(std::uint64_t* bits, NodeId v) noexcept {
+  bits[v >> 6] &= ~(1ULL << (v & 63));
+}
+
+}  // namespace
 
 Graph Graph::FromEdges(NodeId num_nodes, std::span<const Edge> edges) {
   GraphBuilder builder(num_nodes);
@@ -31,66 +44,153 @@ Graph Graph::FromMappedCsr(std::shared_ptr<const void> owner,
   return g;
 }
 
-ResidualGraph::ResidualGraph(const Graph& graph)
+std::vector<NodeId> EdgeBalancedCut(std::span<const std::uint64_t> offsets,
+                                    unsigned parts) {
+  EMIS_REQUIRE(!offsets.empty() && parts >= 1, "cut needs a CSR and a part");
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
+  const std::uint64_t total = offsets[n];  // directed CSR entries
+  std::vector<NodeId> cut(parts + 1, 0);
+  cut[parts] = n;
+  for (unsigned s = 1; s < parts; ++s) {
+    NodeId boundary;
+    if (total == 0) {
+      boundary = static_cast<NodeId>(static_cast<std::uint64_t>(n) * s / parts);
+    } else {
+      // Largest node whose edge prefix is still within s/parts of the total.
+      const std::uint64_t target =
+          static_cast<std::uint64_t>(static_cast<unsigned __int128>(total) * s / parts);
+      const auto it = std::upper_bound(offsets.begin(), offsets.end(), target);
+      boundary = static_cast<NodeId>(std::distance(offsets.begin(), it) - 1);
+    }
+    cut[s] = std::max(boundary, cut[s - 1]);
+  }
+  return cut;
+}
+
+ResidualGraph::ResidualGraph(const Graph& graph, unsigned jobs)
     : rows_(graph.NumNodes()),
-      active_((static_cast<std::size_t>(graph.NumNodes()) + 63) / 64, 0),
+      active_((static_cast<std::size_t>(graph.NumNodes()) + 63) / 64, ~std::uint64_t{0}),
+      in_batch_(active_.size(), 0),
       live_edges_(graph.NumEdges()),
       active_count_(graph.NumNodes()) {
-  adjacency_.reserve(2 * graph.NumEdges());
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    const auto nbrs = graph.Neighbors(v);
-    rows_[v].begin = adjacency_.size();
-    rows_[v].scan_len = static_cast<std::uint32_t>(nbrs.size());
-    rows_[v].live_degree = rows_[v].scan_len;
-    adjacency_.insert(adjacency_.end(), nbrs.begin(), nbrs.end());
-    active_[v >> 6] |= 1ULL << (v & 63);
+  if (graph.NumNodes() % 64 != 0) {
+    active_.back() = (std::uint64_t{1} << (graph.NumNodes() % 64)) - 1;
   }
-}
-
-void ResidualGraph::Retire(NodeId v) {
-  EMIS_REQUIRE(v < NumNodes(), "node out of range");
-  EMIS_REQUIRE(Active(v), "node retired twice");
-  active_[v >> 6] &= ~(1ULL << (v & 63));
-  --active_count_;
-  live_edges_ -= rows_[v].live_degree;
-  const std::uint64_t begin = rows_[v].begin;
-  const std::uint32_t len = rows_[v].scan_len;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    // The row walk itself is sequential, but the per-neighbor counter
-    // update is a dependent random access (this loop runs ~2|E| times over
-    // a full run); pulling the neighbor's interleaved RowMeta a few
-    // entries ahead overlaps the misses.
-    if (i + 8 < len) {
-      __builtin_prefetch(&rows_[adjacency_[begin + i + 8]], /*rw=*/1,
-                         /*locality=*/1);
+  const std::span<const std::uint64_t> offsets = graph.RowOffsets();
+  const std::span<const NodeId> source = graph.Adjacency();
+  // Every entry is written exactly once below, so the buffer skips the
+  // zero-fill; advising before that first touch backs it with huge pages.
+  adjacency_ = std::make_unique_for_overwrite<NodeId[]>(source.size());
+  AdviseHugePages(adjacency_.get(), source.size() * sizeof(NodeId));
+  const unsigned parts = source.size() < kParallelMinEntries ? 1 : std::max(jobs, 1u);
+  const std::vector<NodeId> cut = EdgeBalancedCut(offsets, parts);
+  par::ParallelFor(parts, parts, [&](std::uint64_t part, unsigned) {
+    const NodeId lo = cut[part];
+    const NodeId hi = cut[part + 1];
+    std::copy(source.begin() + static_cast<std::ptrdiff_t>(offsets[lo]),
+              source.begin() + static_cast<std::ptrdiff_t>(offsets[hi]),
+              adjacency_.get() + offsets[lo]);
+    for (NodeId v = lo; v < hi; ++v) {
+      const auto degree = static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
+      rows_[v] = {offsets[v], degree, degree};
     }
-    const NodeId w = adjacency_[begin + i];
-    if (!Active(w)) continue;  // dead prefix entry, already accounted
-    RowMeta& row = rows_[w];
-    --row.live_degree;
-    // Dead fraction crossed ½ (v is in w's prefix and just died, so the row
-    // strictly shrinks): stable-compact survivors to the prefix.
-    if (row.live_degree * 2ULL <= row.scan_len) CompactRow(w);
-  }
-  // v's own row leaves the scan set entirely.
-  edges_reclaimed_ += len;
-  rows_[v].scan_len = 0;
-  rows_[v].live_degree = 0;
+  });
 }
 
-void ResidualGraph::CompactRow(NodeId w) {
-  RowMeta& row = rows_[w];
-  const std::uint64_t begin = row.begin;
-  const std::uint32_t len = row.scan_len;
-  std::uint32_t out = 0;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    const NodeId u = adjacency_[begin + i];
-    if (Active(u)) adjacency_[begin + out++] = u;
+void ResidualGraph::RetireBatch(std::span<const NodeId> batch,
+                                std::span<const NodeId> cut, unsigned jobs) {
+  EMIS_REQUIRE(cut.size() >= 2 && cut.front() == 0 && cut.back() == NumNodes() &&
+                   std::is_sorted(cut.begin(), cut.end()),
+               "retire cut must cover every row in order");
+  if (batch.empty()) return;
+  // Serial prologue: validate (clearing each member's active bit exposes a
+  // repeat), mark membership, and snapshot each member's scan-row length
+  // (its begin is never written). A bad member restores the bits already
+  // cleared, so a rejected batch retires nothing.
+  batch_lens_.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const NodeId v = batch[i];
+    const bool in_range = v < NumNodes();
+    const bool live = in_range && Active(v);
+    if (!live) {
+      for (std::size_t j = 0; j < i; ++j) SetBit(active_.data(), batch[j]);
+      EMIS_REQUIRE(in_range, "node out of range");
+      EMIS_REQUIRE(live, "node retired twice");
+    }
+    ClearBit(active_.data(), v);
+    batch_lens_[i] = rows_[v].scan_len;
   }
-  EMIS_ASSERT(out == row.live_degree, "live-degree counter out of sync with row");
-  edges_reclaimed_ += len - out;
-  row.scan_len = out;
-  ++compactions_;
+  for (const NodeId v : batch) {
+    SetBit(active_.data(), v);
+    SetBit(in_batch_.data(), v);
+  }
+
+  // Row-owner parts (see the class comment). Each part replays the batch in
+  // order against the rows [cut[p], cut[p + 1]) it owns, tracking which
+  // nodes are alive at the current step in a bitset of its own: part 0 in
+  // active_ itself (which ends up exactly post-batch), the others in
+  // private copies of it. The members' rows (begin, snapshot length,
+  // entries) are shared reads; everything written is owned by one part.
+  const std::size_t parts = cut.size() - 1;
+  part_active_.resize(parts - 1);
+  for (std::vector<std::uint64_t>& copy : part_active_) copy = active_;
+  retire_tallies_.assign(parts, RetireTally{});
+  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {
+    const NodeId lo = cut[part];
+    const NodeId hi = cut[part + 1];
+    std::uint64_t* alive = part == 0 ? active_.data() : part_active_[part - 1].data();
+    RetireTally& tally = retire_tallies_[part];
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const NodeId v = batch[i];
+      ClearBit(alive, v);
+      // The slice of v's sorted row this part owns; the searches only run
+      // where a cut boundary can fall inside the row.
+      const NodeId* row = adjacency_.get() + rows_[v].begin;
+      const NodeId* row_end = row + batch_lens_[i];
+      const NodeId* first = lo == 0 ? row : std::lower_bound(row, row_end, lo);
+      const NodeId* last = hi == NumNodes() ? row_end : std::lower_bound(first, row_end, hi);
+      for (const NodeId* it = first; it != last; ++it) {
+        // The per-neighbor counter update is a dependent random access;
+        // pulling the neighbor's interleaved RowMeta a few entries ahead
+        // overlaps the misses.
+        if (last - it > 8) __builtin_prefetch(&rows_[it[8]], /*rw=*/1, /*locality=*/1);
+        const NodeId w = *it;
+        if (!TestBit(alive, w)) continue;  // dead entry, already accounted
+        RowMeta& meta = rows_[w];
+        --meta.live_degree;
+        ++tally.edges_died;
+        // Dead fraction crossed ½ (v is in w's prefix and just died, so the
+        // row strictly shrinks): stable-compact survivors to the prefix. A
+        // member's row keeps its entries (every part may still read them)
+        // and moves only its counters.
+        if (meta.live_degree * 2ULL > meta.scan_len) continue;
+        if (!TestBit(in_batch_.data(), w)) {
+          std::uint32_t out = 0;
+          for (std::uint32_t j = 0; j < meta.scan_len; ++j) {
+            const NodeId u = adjacency_[meta.begin + j];
+            if (TestBit(alive, u)) adjacency_[meta.begin + out++] = u;
+          }
+          EMIS_ASSERT(out == meta.live_degree, "live-degree counter out of sync with row");
+        }
+        tally.reclaimed += meta.scan_len - meta.live_degree;
+        meta.scan_len = meta.live_degree;
+        ++tally.compactions;
+      }
+      // The retiree's own row leaves the scan set entirely.
+      if (lo <= v && v < hi) {
+        tally.reclaimed += rows_[v].scan_len;
+        rows_[v].scan_len = 0;
+        rows_[v].live_degree = 0;
+      }
+    }
+  });
+  for (const NodeId v : batch) ClearBit(in_batch_.data(), v);
+  for (const RetireTally& tally : retire_tallies_) {
+    live_edges_ -= tally.edges_died;
+    compactions_ += tally.compactions;
+    edges_reclaimed_ += tally.reclaimed;
+  }
+  active_count_ -= static_cast<NodeId>(batch.size());
 }
 
 bool Graph::HasEdge(NodeId u, NodeId v) const {

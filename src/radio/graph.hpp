@@ -145,12 +145,21 @@ struct InducedSubgraph {
   std::vector<NodeId> to_original;  // subgraph id -> original id
 };
 
+/// Cuts the node range of a CSR with `offsets` (NumNodes() + 1 entries) into
+/// `parts` contiguous row ranges holding roughly equal numbers of directed
+/// adjacency entries. Returns the parts + 1 monotone boundaries, first 0 and
+/// last NumNodes(); skewed graphs may leave later ranges empty, and an
+/// edgeless graph is cut node-uniformly. The scheduler's shard cut and the
+/// residual copy's ranges (DESIGN.md §13.1).
+std::vector<NodeId> EdgeBalancedCut(std::span<const std::uint64_t> offsets,
+                                    unsigned parts);
+
 /// Mutable residual view over an immutable Graph: which nodes are still live
 /// (may yet transmit or listen) plus, per node, a shrinking "scan row" that
 /// the channel iterates instead of the full CSR row.
 ///
 /// The scheduler retires a node once it reaches a terminal MIS decision
-/// (joined / killed) or its protocol coroutine finishes. Retire(v):
+/// (joined / killed) or its protocol coroutine finishes. Retiring v:
 ///   * clears v's active bit and reclaims v's own row,
 ///   * decrements the live-degree of each of v's live neighbors, and
 ///   * compacts a neighbor's row in place once its dead fraction crosses ½
@@ -159,6 +168,22 @@ struct InducedSubgraph {
 /// per-round work tracks the residual graph that Lemma 5 / Lemma 20 argue
 /// shrinks geometrically per Luby phase, not the seed graph.
 ///
+/// Retirement is batched: the scheduler collects the nodes one filing pass
+/// retires and hands them to RetireBatch, which produces exactly the state
+/// of retiring them one by one in batch order — the same RowMeta, scan rows
+/// and (order-dependent) compaction counters. The pass is partitioned by
+/// row owner: every part of a contiguous row cut walks the whole batch in
+/// order but reads only the slice of each retiree's sorted row that falls
+/// in its own range, and updates only the rows it owns, judging a neighbor
+/// alive at batch position i if it was live before the batch and retires
+/// later than i (each part clears its own copy of the active bits as it
+/// steps through the batch). A batch member's own row is read by every
+/// part, so while the batch runs it is never rewritten: a compaction it
+/// would get moves its counters only (its entries die with it anyway). No
+/// part writes what another part reads, so the parts run concurrently
+/// without locks and the result is the same at any part or job count
+/// (DESIGN.md §13.2).
+///
 /// Invariants:
 ///   * ScanRow(v) contains every live neighbor of a live v; dead entries in
 ///     the prefix never exceed the live ones (the ½ trigger).
@@ -166,15 +191,23 @@ struct InducedSubgraph {
 ///     relative (sorted, ascending) CSR order. The pull channel resolves
 ///     payload ties by last-scanned row entry, so stability keeps that
 ///     tie-break independent of when rows were compacted (see channel.hpp).
+///     Sorted rows are also what lets a part find its slice by binary search.
 ///   * Amortized compaction work over a whole run is O(E): a row of length L
 ///     is only rewritten after ≥ L/2 of its entries died since it last
 ///     shrank.
 class ResidualGraph {
  public:
   /// Starts with every node live and every row at its full CSR length. The
-  /// adjacency is copied (it is compacted in place); `graph` itself is only
-  /// read during construction.
-  explicit ResidualGraph(const Graph& graph);
+  /// adjacency is copied (it is compacted in place) on `jobs` workers over
+  /// edge-balanced row ranges — inline when the graph has fewer than
+  /// kParallelMinEntries entries; `graph` itself is only read during
+  /// construction.
+  explicit ResidualGraph(const Graph& graph, unsigned jobs = 1);
+
+  /// Directed adjacency entries below which a pass over them (the copy, or
+  /// a retire batch's pending scan rows) runs inline: below it, pool
+  /// dispatch latency outweighs the split work.
+  static constexpr std::uint64_t kParallelMinEntries = std::uint64_t{1} << 14;
 
   NodeId NumNodes() const noexcept {
     return static_cast<NodeId>(rows_.size());
@@ -195,13 +228,24 @@ class ResidualGraph {
   /// equal number of dead ones. Empty once v retired.
   std::span<const NodeId> ScanRow(NodeId v) const noexcept {
     const RowMeta& row = rows_[v];
-    return {adjacency_.data() + row.begin, row.scan_len};
+    return {adjacency_.get() + row.begin, row.scan_len};
   }
 
-  /// Permanently removes v from the residual graph. v must still be active;
-  /// the caller (Scheduler::Retire) guarantees v never transmits or listens
-  /// afterwards.
-  void Retire(NodeId v);
+  /// Permanently removes the nodes of `batch`, in order, from the residual
+  /// graph — state afterwards equals retiring them one at a time. Every
+  /// node must still be active and appear once (PreconditionError "node
+  /// retired twice" otherwise, with nothing retired); the caller
+  /// (Scheduler) guarantees they never transmit or listen afterwards.
+  /// `cut` holds the row-owner boundaries (first 0, last NumNodes(),
+  /// monotone, empty ranges allowed); its ranges run on `jobs` workers.
+  void RetireBatch(std::span<const NodeId> batch, std::span<const NodeId> cut,
+                   unsigned jobs);
+
+  /// A batch of one over a single row range.
+  void Retire(NodeId v) {
+    const NodeId whole[] = {0, NumNodes()};
+    RetireBatch({&v, 1}, whole, 1);
+  }
 
   /// Edges whose endpoints are both still active.
   std::uint64_t LiveEdges() const noexcept { return live_edges_; }
@@ -213,11 +257,8 @@ class ResidualGraph {
   std::uint64_t EdgesReclaimed() const noexcept { return edges_reclaimed_; }
 
  private:
-  /// Stable in-place partition of w's scan row: survivors to the prefix.
-  void CompactRow(NodeId w);
-
   /// Per-node row metadata, interleaved so the three fields every consumer
-  /// reads together (ScanRow's begin+len, Retire's len+degree) land on one
+  /// reads together (ScanRow's begin+len, retire's len+degree) land on one
   /// cache line per node instead of three parallel-array lines. Channel
   /// scans and retire-compaction both key this by *neighbor* id — a random
   /// access — so the interleave halves their miss traffic (size pinned in
@@ -229,9 +270,27 @@ class ResidualGraph {
   };
   static_assert(sizeof(RowMeta) == kResidualRowBytes,
                 "row metadata outgrew its line budget (size_budget.hpp)");
+
+  /// One part's contribution, summed after the join; a cache line each so
+  /// concurrent parts never share one.
+  struct alignas(64) RetireTally {
+    std::uint64_t edges_died = 0;
+    std::uint64_t compactions = 0;
+    std::uint64_t reclaimed = 0;
+  };
+
   std::vector<RowMeta> rows_;
-  std::vector<NodeId> adjacency_;  // mutable CSR copy
-  std::vector<std::uint64_t> active_;       // node bitset, 64 nodes per word
+  std::unique_ptr<NodeId[]> adjacency_;  // mutable CSR copy
+  std::vector<std::uint64_t> active_;    // node bitset, 64 nodes per word
+  // RetireBatch scratch. in_batch_: the current batch's members (a bitset
+  // like active_, all clear between batches). part_active_: parts 1.. each
+  // replay aliveness in a private copy of active_.
+  std::vector<std::uint64_t> in_batch_;
+  std::vector<std::vector<std::uint64_t>> part_active_;
+  // Each member's scan-row length when the batch began, which every part
+  // reads while the member's owner moves its counters.
+  std::vector<std::uint32_t> batch_lens_;
+  std::vector<RetireTally> retire_tallies_;  // RetireBatch scratch, per part
   std::uint64_t live_edges_ = 0;
   NodeId active_count_ = 0;
   std::uint64_t compactions_ = 0;

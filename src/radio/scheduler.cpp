@@ -32,8 +32,17 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
   if (config.link_loss > 0.0) {
     channel_.SetLoss(config.link_loss, seed ^ 0x10ad10ad10ad10adULL);
   }
+  // Sharding engages for the flat engine only: never more shards than
+  // nodes, so every shard owns at least one row at bench sizes and
+  // degenerate tiny graphs collapse to fewer shards instead of empty
+  // dispatches.
+  if (config_.engine == ExecutionEngine::kFlat && config_.shards > 1 &&
+      graph.NumNodes() > 0) {
+    shards_ = std::min<unsigned>(config_.shards, graph.NumNodes());
+    BuildShardCut();
+  }
   if (config_.compaction) {
-    residual_.emplace(graph);
+    residual_.emplace(graph, shards_);
     channel_.AttachResidual(&*residual_);
   }
   if (config_.ledger != nullptr) {
@@ -83,6 +92,8 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     edges_scanned_ = &config_.metrics->GetCounter("chan.edges_scanned");
     compactions_metric_ = &config_.metrics->GetCounter("graph.compactions");
     edges_reclaimed_metric_ = &config_.metrics->GetCounter("graph.edges_reclaimed");
+    retire_timer_ = &config_.metrics->GetTimer("graph.retire");
+    retire_batches_metric_ = &config_.metrics->GetGauge("graph.retire_batches");
     live_edges_metric_ = &config_.metrics->GetGauge("chan.live_edges");
     arena_reserved_ = &config_.metrics->GetGauge("arena.bytes_reserved");
     arena_used_ = &config_.metrics->GetGauge("arena.bytes_used");
@@ -126,6 +137,7 @@ void Scheduler::Spawn(const ProtocolFactory& factory) {
     ctx_cold_[v].resume_point = tasks_[v].RawHandle();
     ResumeAndFile(v, actors_);
   }
+  FlushRetires();
 }
 
 void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
@@ -136,13 +148,6 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
   spawned_ = true;
   flat_ = std::move(protocol);
   flat_lanes_ = flat_->Lanes();
-  // Sharding engages here (flat engine only): never more shards than nodes,
-  // so every shard owns at least one row at bench sizes and degenerate tiny
-  // graphs collapse to fewer shards instead of empty dispatches.
-  if (config_.shards > 1 && graph_->NumNodes() > 0) {
-    shards_ = std::min<unsigned>(config_.shards, graph_->NumNodes());
-  }
-  if (Sharded()) BuildShardCut();
   // Step every machine to its first action (round 0), in node order —
   // exactly where Spawn runs each coroutine to its first suspension. The
   // steps are independent per node (each touches only its own lane), so the
@@ -162,32 +167,13 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
       ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
     }
   }
+  FlushRetires();
 }
 
 void Scheduler::BuildShardCut() {
-  const std::span<const std::uint64_t> offsets = graph_->RowOffsets();
-  const NodeId n = graph_->NumNodes();
-  const std::uint64_t total = offsets[n];  // directed CSR entries
-  shard_begin_.assign(shards_ + 1, 0);
-  shard_begin_[shards_] = n;
-  for (unsigned s = 1; s < shards_; ++s) {
-    NodeId boundary;
-    if (total == 0) {
-      // Edgeless graph: fall back to a node-uniform cut.
-      boundary = static_cast<NodeId>(
-          static_cast<std::uint64_t>(n) * s / shards_);
-    } else {
-      // Largest node whose edge prefix is still within s/shards of the
-      // total — contiguous row ranges with balanced directed-edge volume,
-      // which is what the channel passes actually iterate.
-      const std::uint64_t target =
-          static_cast<std::uint64_t>(static_cast<unsigned __int128>(total) * s / shards_);
-      const auto it = std::upper_bound(offsets.begin(), offsets.end(), target);
-      boundary = static_cast<NodeId>(std::distance(offsets.begin(), it) - 1);
-    }
-    // Monotone boundaries; skewed graphs may leave later shards empty.
-    shard_begin_[s] = std::max(boundary, shard_begin_[s - 1]);
-  }
+  // Contiguous row ranges with balanced directed-edge volume, which is what
+  // the channel passes and the retire pass actually iterate.
+  shard_begin_ = EdgeBalancedCut(graph_->RowOffsets(), shards_);
   tx_buffers_.resize(shards_);
   for (unsigned s = 0; s < shards_; ++s) {
     channel_.InitShardBuffer(tx_buffers_[s], shard_begin_[s], shard_begin_[s + 1]);
@@ -205,12 +191,36 @@ unsigned Scheduler::ShardOf(NodeId v) const noexcept {
 }
 
 void Scheduler::Retire(NodeId v) {
+  MarkRetired(v);
+  FlushRetires();
+}
+
+void Scheduler::MarkRetired(NodeId v) {
   EMIS_EXPECTS(v < graph_->NumNodes(), "node out of range");
   HotNodeContext& hot = ctx_hot_[v];
   if (hot.Retired()) return;  // idempotent: finishing also implies retirement
   hot.MarkRetired();  // sets retired, clears any pending retire request
   ++retired_;
-  if (residual_.has_value()) residual_->Retire(v);
+  if (residual_.has_value()) {
+    retire_batch_.push_back(v);
+    retire_batch_entries_ += residual_->ScanRow(v).size();
+  }
+}
+
+void Scheduler::FlushRetires() {
+  if (retire_batch_.empty()) return;
+  const obs::ScopedTimer timing(retire_timer_);
+  // Same inline-below rule as the round passes, keyed on the work the pass
+  // will walk: the batch's pending scan entries.
+  if (Sharded() && retire_batch_entries_ >= ResidualGraph::kParallelMinEntries) {
+    residual_->RetireBatch(retire_batch_, shard_begin_, shards_);
+  } else {
+    const NodeId whole[] = {0, graph_->NumNodes()};
+    residual_->RetireBatch(retire_batch_, whole, 1);
+  }
+  ++retire_batches_;
+  retire_batch_.clear();
+  retire_batch_entries_ = 0;
 }
 
 void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
@@ -236,11 +246,11 @@ void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
   if (hot.Done()) {
     ++finished_;
     // A finished program never acts again: drop the node from every
-    // neighbor's live scan row.
-    Retire(v);
+    // neighbor's live scan row (at the end of this filing pass).
+    MarkRetired(v);
     return;
   }
-  if (hot.RetireRequested()) Retire(v);
+  if (hot.RetireRequested()) MarkRetired(v);
   switch (hot.Pending()) {
     case ActionKind::kTransmit:
     case ActionKind::kListen:
@@ -441,6 +451,7 @@ void Scheduler::ExecuteRound() {
     ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
     ResumeAndFile(v, next_actors_);
   }
+  FlushRetires();
   actors_.swap(next_actors_);
 }
 
@@ -548,9 +559,10 @@ void Scheduler::ExecuteRoundSharded() {
 
   // Phase 3: parallel per-shard protocol steps, then a serial filing pass in
   // global actor order — filing mutates cross-node state (finished_, the
-  // wheel, residual compaction) whose order the goldens pin. Timeline runs
-  // keep the serial reference resume (annotations mutate shared state
-  // inside Step).
+  // wheel, the retire batch's order) whose order the goldens pin — and the
+  // row-owner retire pass over the batch it collected. Timeline runs keep
+  // the serial reference resume (annotations mutate shared state inside
+  // Step).
   const obs::ScopedTimer timing(resume_timer_);
   next_actors_.clear();
   for (std::vector<NodeId>& list : next_shard_actors_) list.clear();
@@ -574,6 +586,7 @@ void Scheduler::ExecuteRoundSharded() {
       ResumeAndFile(v, next_actors_, &next_shard_actors_);
     }
   }
+  FlushRetires();
   actors_.swap(next_actors_);
   shard_actors_.swap(next_shard_actors_);
 }
@@ -669,6 +682,7 @@ RunStats Scheduler::RunUntil(Round limit) {
           ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
         }
       }
+      FlushRetires();
     }
     if (actors_.empty()) continue;  // woken nodes all went back to sleep
 
@@ -707,6 +721,7 @@ RunStats Scheduler::RunUntil(Round limit) {
     edges_reclaimed_metric_->Inc(residual_->EdgesReclaimed() -
                                  edges_reclaimed_flushed_);
     edges_reclaimed_flushed_ = residual_->EdgesReclaimed();
+    retire_batches_metric_->Set(static_cast<double>(retire_batches_));
   }
 
   RunStats stats;

@@ -66,10 +66,12 @@ struct SchedulerConfig {
   bool compaction = true;
   /// Optional metrics registry (owned by the caller). When set, the
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
-  /// "sched.wake_heap"), counters ("sched.rounds_executed",
+  /// "sched.wake_heap", and "graph.retire" — the retire passes, nested in
+  /// the resume/wake scopes), counters ("sched.rounds_executed",
   /// "sched.rounds_skipped", "sched.wake_events", "chan.push_rounds",
   /// "chan.pull_rounds", "chan.edges_scanned", "graph.compactions",
-  /// "graph.edges_reclaimed"), the residual gauge ("chan.live_edges"),
+  /// "graph.edges_reclaimed"), the residual gauges ("chan.live_edges",
+  /// "graph.retire_batches"),
   /// arena gauges ("arena.bytes_reserved", "arena.bytes_used"), and
   /// working-set gauges ("mem.context_hot_bytes", "mem.context_cold_bytes",
   /// "mem.lane_bytes" — the resume loop's per-array footprints, see
@@ -172,10 +174,11 @@ class Scheduler {
   /// Permanently removes node v from the radio: its residual-graph entry is
   /// reclaimed (neighbors' live scan rows shrink) and it must never transmit
   /// or listen again — enforced by an invariant on action filing. Idempotent.
-  /// Called automatically when a protocol coroutine finishes and on
-  /// NodeApi::Retire requests; also callable directly by drivers that know a
-  /// node is done. A no-op cost-wise when compaction is off (the flag is
-  /// still set, keeping the acting-after-retirement invariant armed).
+  /// For drivers that know a node is done: v is retired at once, as a retire
+  /// batch of one. (Protocols that finish or call NodeApi::Retire are
+  /// retired in their filing pass's batch instead.) A no-op cost-wise when
+  /// compaction is off (the flag is still set, keeping the
+  /// acting-after-retirement invariant armed).
   void Retire(NodeId v);
 
   bool AllFinished() const noexcept { return finished_ == graph_->NumNodes(); }
@@ -206,10 +209,10 @@ class Scheduler {
 
   /// Files node v's already-computed action: into `actors` (and the shard
   /// mirror) if it acts in round ctx.now, into the wake wheel if it sleeps;
-  /// detects completion and retires. Split from ResumeAndFile so sharded
-  /// rounds can step nodes in parallel and then file serially in global
-  /// actor order — filing mutates cross-node state (finished_, the residual
-  /// overlay's compaction counters, the wheel), whose mutation order the
+  /// detects completion and marks retirement. Split from ResumeAndFile so
+  /// sharded rounds can step nodes in parallel and then file serially in
+  /// global actor order — filing mutates cross-node state (finished_, the
+  /// wheel, the order of the retire batch), whose mutation order the
   /// trace/report goldens pin.
   void FileAction(NodeId v, std::vector<NodeId>& actors,
                   std::vector<std::vector<NodeId>>* by_shard);
@@ -223,6 +226,17 @@ class Scheduler {
   /// first. Hides the dependent LLC misses that otherwise dominate per-wake
   /// cost on large graphs.
   void PrefetchResume(const std::vector<NodeId>& nodes, std::size_t i) noexcept;
+
+  /// Marks v retired (idempotent) and, with compaction on, appends it to the
+  /// current filing pass's retire batch. The residual overlay is untouched
+  /// until FlushRetires: nothing reads it between a retire and the end of
+  /// the pass that filed it.
+  void MarkRetired(NodeId v);
+  /// Ends a filing pass (spawn, wake or resume): applies the pass's retire
+  /// batch in filing order with ResidualGraph::RetireBatch — on the shard
+  /// cut and pool when sharded and the batch's pending scan entries reach
+  /// ResidualGraph::kParallelMinEntries, over one inline range otherwise.
+  void FlushRetires();
 
   /// Executes the current round for `actors_` (channel + energy + trace),
   /// then resumes the actors to collect their next actions.
@@ -246,8 +260,8 @@ class Scheduler {
   /// Deferred serial trace pass reproducing the unsharded two-phase event
   /// order: all transmits in actor order, then all listens.
   void EmitRoundTrace();
-  /// Edge-balanced contiguous node cut from the CSR offset array; also
-  /// sizes the per-shard actor lists and transmit buffers.
+  /// Edge-balanced contiguous node cut (EdgeBalancedCut); also sizes the
+  /// per-shard actor lists and transmit buffers.
   void BuildShardCut();
   /// The shard owning node v under the current cut.
   unsigned ShardOf(NodeId v) const noexcept;
@@ -330,7 +344,7 @@ class Scheduler {
   std::vector<NodeId> actors_;
   std::vector<NodeId> next_actors_;  // scratch, swapped each round
 
-  // Intra-run sharding (flat engine only; engaged by SpawnFlat when
+  // Intra-run sharding (flat engine only; engaged by the constructor when
   // config.shards > 1). shard_begin_ holds the contiguous node cut
   // (shards_ + 1 boundaries); shard_actors_ mirrors actors_ partitioned by
   // shard, maintained by FileAction and swapped alongside it.
@@ -377,6 +391,12 @@ class Scheduler {
   std::uint64_t node_rounds_ = 0;
   NodeId finished_ = 0;
   NodeId retired_ = 0;  ///< decided nodes (telemetry's "decided" gauge)
+  // The current filing pass's retirees in filing order, and the sum of
+  // their scan-row lengths (the retire pass's work, which picks inline vs
+  // pool). Empty between passes.
+  std::vector<NodeId> retire_batch_;
+  std::uint64_t retire_batch_entries_ = 0;
+  std::uint64_t retire_batches_ = 0;  ///< non-empty batches flushed
   bool spawned_ = false;
 
   /// Emits the per-round telemetry heartbeat (config.telemetry set).
@@ -387,6 +407,7 @@ class Scheduler {
   obs::Timer* execute_timer_ = nullptr;
   obs::Timer* resume_timer_ = nullptr;
   obs::Timer* wake_timer_ = nullptr;
+  obs::Timer* retire_timer_ = nullptr;
   obs::Counter* rounds_executed_ = nullptr;
   obs::Counter* rounds_skipped_ = nullptr;
   obs::Counter* wake_events_ = nullptr;
@@ -396,6 +417,7 @@ class Scheduler {
   obs::Counter* compactions_metric_ = nullptr;
   obs::Counter* edges_reclaimed_metric_ = nullptr;
   obs::Gauge* live_edges_metric_ = nullptr;
+  obs::Gauge* retire_batches_metric_ = nullptr;
   obs::Gauge* arena_reserved_ = nullptr;
   obs::Gauge* arena_used_ = nullptr;
   obs::Gauge* merge_words_metric_ = nullptr;

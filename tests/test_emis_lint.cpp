@@ -779,6 +779,29 @@ TEST(ParallelRegionMutation, ValueCapturesAndSlotAliasesAreClean) {
                   .findings.empty());
 }
 
+TEST(ParallelRegionMutation, RowOwnerSanctionCoversOnlyResidualRows) {
+  // The retire pass's shape: per-row metadata and in-place row compaction
+  // keyed by a neighbor id. Sanctioned for ResidualGraph's rows_ /
+  // adjacency_ (row-owner disjoint); the same writes to any other array are
+  // still flagged.
+  const Report r = LintSource(
+      "src/radio/x.cpp",
+      "void ResidualGraph::Pass() {\n"
+      "  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {\n"
+      "    std::uint32_t out = 0;\n"
+      "    rows_[w].scan_len = 0;\n"                 // sanctioned
+      "    adjacency_[begin + out++] = u;\n"         // sanctioned
+      "    row_meta_[w].scan_len = 0;\n"             // same shape: flagged
+      "    entries_[begin + out++] = u;\n"           // same shape: flagged
+      "  });\n"
+      "}\n");
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(r.findings[0].symbol, "row_meta_");
+  EXPECT_EQ(r.findings[0].line, 6);
+  EXPECT_EQ(r.findings[1].symbol, "entries_");
+  EXPECT_EQ(r.findings[1].line, 7);
+}
+
 TEST(ParallelRegionMutation, SuppressedByWaiver) {
   const Report r = LintSource(
       "src/radio/x.cpp",

@@ -3,6 +3,11 @@
 //   * ResidualGraph bookkeeping — live degrees/edges, the half-dead row
 //     compaction trigger, stable (sorted) scan-row order, retire-twice
 //     rejection;
+//   * RetireBatch against a sequential reference (the per-node retire walk
+//     it replaced): after every batch, on random ER/UDG/star/path graphs,
+//     random batches, random row-owner cuts of 1-8 parts (empty parts
+//     included) and 1 or 4 jobs, every row's counters, every live scan row
+//     and the order-dependent compaction counters agree exactly;
 //   * ResolveDirection in isolation — forced overrides win, kAuto takes the
 //     strictly cheaper side and breaks ties toward push;
 //   * the scheduler's cost model sums *live* degrees once nodes retire
@@ -23,6 +28,7 @@
 //     telemetry lands in the caller's MetricsRegistry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -115,6 +121,213 @@ TEST(ResidualGraph, RetireTwiceThrows) {
   r.Retire(1);
   EXPECT_THROW(r.Retire(1), PreconditionError);
   EXPECT_THROW(r.Retire(3), PreconditionError);  // out of range
+}
+
+// --- RetireBatch vs the sequential per-node walk --------------------------
+
+/// The per-node retire walk RetireBatch replaced, kept as the reference: one
+/// node at a time, decrement each live neighbor, compact a neighbor's row in
+/// place once half of it is dead.
+class SequentialResidual {
+ public:
+  explicit SequentialResidual(const Graph& g)
+      : begin_(g.NumNodes()), scan_len_(g.NumNodes()), live_degree_(g.NumNodes()),
+        active_(g.NumNodes(), true), live_edges_(g.NumEdges()) {
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      const auto nbrs = g.Neighbors(v);
+      begin_[v] = adjacency_.size();
+      scan_len_[v] = live_degree_[v] = static_cast<std::uint32_t>(nbrs.size());
+      adjacency_.insert(adjacency_.end(), nbrs.begin(), nbrs.end());
+    }
+  }
+
+  void Retire(NodeId v) {
+    active_[v] = false;
+    live_edges_ -= live_degree_[v];
+    for (std::uint32_t i = 0; i < scan_len_[v]; ++i) {
+      const NodeId w = adjacency_[begin_[v] + i];
+      if (!active_[w]) continue;
+      --live_degree_[w];
+      if (live_degree_[w] * 2ULL <= scan_len_[w]) CompactRow(w);
+    }
+    edges_reclaimed_ += scan_len_[v];
+    scan_len_[v] = 0;
+    live_degree_[v] = 0;
+  }
+
+  std::vector<NodeId> ScanRow(NodeId v) const {
+    const auto first = adjacency_.begin() + static_cast<std::ptrdiff_t>(begin_[v]);
+    return {first, first + scan_len_[v]};
+  }
+  std::uint32_t ScanLen(NodeId v) const { return scan_len_[v]; }
+  std::uint32_t LiveDegree(NodeId v) const { return live_degree_[v]; }
+  bool Active(NodeId v) const { return active_[v]; }
+  NodeId ActiveCount() const {
+    return static_cast<NodeId>(std::count(active_.begin(), active_.end(), true));
+  }
+  std::uint64_t LiveEdges() const { return live_edges_; }
+  std::uint64_t Compactions() const { return compactions_; }
+  std::uint64_t EdgesReclaimed() const { return edges_reclaimed_; }
+
+ private:
+  void CompactRow(NodeId w) {
+    std::uint32_t out = 0;
+    for (std::uint32_t i = 0; i < scan_len_[w]; ++i) {
+      const NodeId u = adjacency_[begin_[w] + i];
+      if (active_[u]) adjacency_[begin_[w] + out++] = u;
+    }
+    edges_reclaimed_ += scan_len_[w] - out;
+    scan_len_[w] = out;
+    ++compactions_;
+  }
+
+  std::vector<std::uint64_t> begin_;
+  std::vector<std::uint32_t> scan_len_;
+  std::vector<std::uint32_t> live_degree_;
+  std::vector<bool> active_;
+  std::vector<NodeId> adjacency_;
+  std::uint64_t live_edges_ = 0;
+  std::uint64_t compactions_ = 0;
+  std::uint64_t edges_reclaimed_ = 0;
+};
+
+/// Every row's counters (retired rows included), every live scan row, and
+/// the global counters.
+void ExpectSameState(const ResidualGraph& got, const SequentialResidual& want,
+                     const std::string& where) {
+  for (NodeId v = 0; v < got.NumNodes(); ++v) {
+    ASSERT_EQ(got.Active(v), want.Active(v)) << where << " node " << v;
+    ASSERT_EQ(got.LiveDegree(v), want.LiveDegree(v)) << where << " node " << v;
+    ASSERT_EQ(got.ScanRow(v).size(), want.ScanLen(v)) << where << " node " << v;
+    if (got.Active(v)) {
+      const std::span<const NodeId> row = got.ScanRow(v);
+      ASSERT_EQ(std::vector<NodeId>(row.begin(), row.end()), want.ScanRow(v))
+          << where << " node " << v;
+    }
+  }
+  ASSERT_EQ(got.LiveEdges(), want.LiveEdges()) << where;
+  ASSERT_EQ(got.ActiveCount(), want.ActiveCount()) << where;
+  ASSERT_EQ(got.Compactions(), want.Compactions()) << where;
+  ASSERT_EQ(got.EdgesReclaimed(), want.EdgesReclaimed()) << where;
+}
+
+/// A random row-owner cut of 1-8 parts: sorted boundaries drawn with
+/// repeats, so some parts are empty.
+std::vector<NodeId> RandomCut(NodeId n, Rng& rng) {
+  const auto parts = static_cast<unsigned>(1 + rng.UniformBelow(8));
+  std::vector<NodeId> cut = {0, n};
+  for (unsigned p = 1; p < parts; ++p) {
+    cut.push_back(static_cast<NodeId>(rng.UniformBelow(std::uint64_t{n} + 1)));
+  }
+  std::sort(cut.begin(), cut.end());
+  return cut;
+}
+
+/// Retires every node of `g` in a random order, cut into random batches
+/// (sometimes single nodes, sometimes most of the graph), each under a fresh
+/// random cut, comparing against the sequential walk after every batch.
+void CheckRandomBatches(const Graph& g, std::uint64_t seed, unsigned jobs,
+                        const std::string& name) {
+  Rng rng(seed);
+  std::vector<NodeId> order(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) order[v] = v;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.UniformBelow(i)]);
+  }
+  ResidualGraph batched(g, jobs);
+  SequentialResidual reference(g);
+  std::size_t next = 0;
+  int batch_index = 0;
+  while (next < order.size()) {
+    const std::size_t left = order.size() - next;
+    const std::size_t size =
+        rng.Bernoulli(0.2) ? left : 1 + rng.UniformBelow(std::min<std::size_t>(left, 40));
+    const std::span<const NodeId> batch(order.data() + next, size);
+    const std::vector<NodeId> cut = RandomCut(g.NumNodes(), rng);
+    batched.RetireBatch(batch, cut, jobs);
+    for (const NodeId v : batch) reference.Retire(v);
+    next += size;
+    ExpectSameState(batched, reference,
+                    name + " jobs " + std::to_string(jobs) + " batch " +
+                        std::to_string(batch_index++) + " parts " +
+                        std::to_string(cut.size() - 1));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(batched.ActiveCount(), 0u) << name;
+  EXPECT_EQ(batched.EdgesReclaimed(), 2 * g.NumEdges()) << name;
+}
+
+TEST(RetireBatch, MatchesSequentialWalkOnRandomGraphsBatchesAndCuts) {
+  for (unsigned jobs : {1u, 4u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed * 7919);
+      CheckRandomBatches(gen::ErdosRenyi(120, 0.15, rng), seed, jobs, "er");
+      CheckRandomBatches(gen::RandomGeometric(150, 0.2, rng), seed, jobs, "udg");
+      CheckRandomBatches(gen::Star(90), seed, jobs, "star");
+      CheckRandomBatches(gen::Path(70), seed, jobs, "path");
+    }
+  }
+}
+
+TEST(RetireBatch, HubRetiredWithAllItsLeaves) {
+  // The hub's row spans every other node, so every part of every cut holds
+  // a slice of it; the leaves' rows are one entry each, the hub's.
+  const Graph g = gen::Star(33);
+  std::vector<NodeId> leaves_then_hub;
+  for (NodeId v = 1; v < 33; ++v) leaves_then_hub.push_back(v);
+  leaves_then_hub.push_back(0);
+  std::vector<NodeId> hub_then_leaves = {0};
+  for (NodeId v = 1; v < 33; ++v) hub_then_leaves.push_back(v);
+  std::vector<NodeId> hub_in_middle = leaves_then_hub;
+  std::rotate(hub_in_middle.begin() + 16, hub_in_middle.end() - 1, hub_in_middle.end());
+  for (const auto& batch : {leaves_then_hub, hub_then_leaves, hub_in_middle}) {
+    for (const std::vector<NodeId>& cut :
+         {std::vector<NodeId>{0, 33}, std::vector<NodeId>{0, 1, 17, 33},
+          std::vector<NodeId>{0, 0, 5, 5, 20, 33, 33}}) {
+      ResidualGraph batched(g);
+      SequentialResidual reference(g);
+      batched.RetireBatch(batch, cut, 4);
+      for (const NodeId v : batch) reference.Retire(v);
+      ExpectSameState(batched, reference, "star hub at " + std::to_string(
+          std::find(batch.begin(), batch.end(), 0u) - batch.begin()));
+    }
+  }
+}
+
+TEST(RetireBatch, MembersCompactEachOthersRowsBeforeRetiring) {
+  // In K_12, retiring half the clique crosses the half-dead trigger of every
+  // later member's row before that member's own turn: those compactions
+  // must count (and shrink the later reclaim) exactly as the walk does.
+  const Graph g = gen::Complete(12);
+  const std::vector<NodeId> batch = {3, 7, 0, 11, 5, 9, 1};
+  for (const std::vector<NodeId>& cut :
+       {std::vector<NodeId>{0, 12}, std::vector<NodeId>{0, 4, 8, 12},
+        std::vector<NodeId>{0, 1, 2, 3, 5, 8, 12, 12}}) {
+    ResidualGraph batched(g);
+    SequentialResidual reference(g);
+    batched.RetireBatch(batch, cut, 4);
+    for (const NodeId v : batch) reference.Retire(v);
+    ExpectSameState(batched, reference, "clique parts " + std::to_string(cut.size() - 1));
+    EXPECT_GT(reference.Compactions(), 0u);
+  }
+}
+
+TEST(RetireBatch, NodeTwiceInOneBatchThrowsAndRetiresNothing) {
+  const Graph g = gen::Star(9);
+  ResidualGraph batched(g);
+  const std::vector<NodeId> batch = {2, 0, 5, 0, 7};
+  const NodeId whole[] = {0, 9};
+  try {
+    batched.RetireBatch(batch, whole, 1);
+    ADD_FAILURE() << "duplicate batch member accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("node retired twice"), std::string::npos)
+        << e.what();
+  }
+  ExpectSameState(batched, SequentialResidual(g), "after rejected batch");
+  const std::vector<NodeId> out_of_range = {1, 9};
+  EXPECT_THROW(batched.RetireBatch(out_of_range, whole, 1), PreconditionError);
+  ExpectSameState(batched, SequentialResidual(g), "after out-of-range batch");
 }
 
 // --- ResolveDirection (the cost model in isolation) -----------------------

@@ -10,6 +10,9 @@
 //     to today's single-shard build);
 //   * a graph big enough to cross the scheduler's inline-below threshold
 //     (kParallelMinNodes) so real pool threads execute the round passes;
+//   * pinned graph.compactions / graph.edges_reclaimed / chan.edges_scanned
+//     at shards 1-4 on a graph dense enough that the row-owner retire pass
+//     and the residual copy dispatch to the pool;
 //   * emis-run-report/1 documents are identical across shard counts outside
 //     the declared cost observables (run.shards, chan.merge_words,
 //     parallel.* gauges, wall-clock timers, alloc).
@@ -277,6 +280,12 @@ struct RunFingerprint {
   std::uint64_t total_awake = 0;
   std::uint64_t max_awake = 0;
   std::uint64_t trace_hash = 0;
+  // Residual-graph and channel work counters from an attached registry.
+  // graph.compactions / graph.edges_reclaimed depend on the order nodes
+  // retire in, so they pin the retire pass, not just the radio.
+  std::uint64_t compactions = 0;
+  std::uint64_t edges_reclaimed = 0;
+  std::uint64_t edges_scanned = 0;
 
   friend bool operator==(const RunFingerprint&, const RunFingerprint&) = default;
 };
@@ -285,18 +294,26 @@ RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
                                   MisAlgorithm algorithm, double loss,
                                   bool compaction) {
   HashTrace trace;
+  obs::MetricsRegistry metrics;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
   cfg.seed = 7;
   cfg.engine = ExecutionEngine::kFlat;
   cfg.shards = shards;
   cfg.trace = &trace;
+  cfg.metrics = &metrics;
   cfg.link_loss = loss;
   cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
-  return {r.status, r.stats.rounds_used, r.energy.TotalAwake(),
-          r.energy.MaxAwake(), trace.Value()};
+  return {r.status,
+          r.stats.rounds_used,
+          r.energy.TotalAwake(),
+          r.energy.MaxAwake(),
+          trace.Value(),
+          metrics.GetCounter("graph.compactions").Value(),
+          metrics.GetCounter("graph.edges_reclaimed").Value(),
+          metrics.GetCounter("chan.edges_scanned").Value()};
 }
 
 constexpr MisAlgorithm kCores[] = {
@@ -349,6 +366,34 @@ TEST(ShardedRun, BitIdenticalAboveTheInlineThreshold) {
     EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0, true),
               reference)
         << "shards " << shards;
+  }
+}
+
+TEST(ShardedRun, ResidualCountersPinnedWhereRetirePassesDispatch) {
+  // Average degree ~96 over 4096 nodes: the residual copy (~390K entries)
+  // and the early Luby phases' retire batches are far above the scheduler's
+  // retire dispatch threshold, so at 2+ shards the row-owner retire pass
+  // runs on pool threads. The order-dependent compaction counters were
+  // recorded from the per-node retire walk this pass replaced; every shard
+  // count must reproduce them and the single-shard fingerprint exactly.
+  Rng rng(2718);
+  const Graph g = gen::ErdosRenyi(4096, 0.0234375, rng);
+  struct Pinned {
+    MisAlgorithm algorithm;
+    std::uint64_t compactions;
+    std::uint64_t edges_scanned;
+  };
+  for (const Pinned& pinned : {Pinned{MisAlgorithm::kCd, 4191, 495458},
+                               Pinned{MisAlgorithm::kNoCd, 4627, 5619579}}) {
+    const RunFingerprint reference =
+        ShardedFingerprint(g, 1, pinned.algorithm, 0.0, true);
+    EXPECT_EQ(reference.compactions, pinned.compactions) << ToString(pinned.algorithm);
+    EXPECT_EQ(reference.edges_reclaimed, 2 * g.NumEdges()) << ToString(pinned.algorithm);
+    EXPECT_EQ(reference.edges_scanned, pinned.edges_scanned) << ToString(pinned.algorithm);
+    for (unsigned shards : {2u, 3u, 4u}) {
+      EXPECT_EQ(ShardedFingerprint(g, shards, pinned.algorithm, 0.0, true), reference)
+          << ToString(pinned.algorithm) << " shards " << shards;
+    }
   }
 }
 

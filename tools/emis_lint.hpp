@@ -1326,10 +1326,24 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 ///                        merged serially in fixed shard order (MergeTxShard).
 ///   shard_tx_count_ /    per-shard counters, one writer each, committed
 ///   shard_listen_count_  once per round by CommitShardTotals.
+///   rows_ /              ResidualGraph's row metadata and mutable adjacency
+///   adjacency_           (radio/graph.cpp). The residual copy writes each
+///                        row range once. The row-owner retire pass
+///                        (RetireBatch) writes a RowMeta, or compacts a row's
+///                        entries, only for rows inside its own part of the
+///                        cut; the rows other parts read are the batch
+///                        members' entries, which no part rewrites while the
+///                        batch runs (counter-only compaction). Each part
+///                        replays aliveness in its own bitset (part 0's is
+///                        active_, read by no other part during the pass),
+///                        and totals are per-part tallies summed after the
+///                        join (pinned by test_residual_compaction's
+///                        batch-vs-sequential property test and
+///                        test_sharded_run's counters).
 inline const std::set<std::string, std::less<>>& ParallelWriteSanctioned() {
   static const std::set<std::string, std::less<>> kSanctioned = {
       "ctx_hot_", "ctx_cold_", "tx_buffers_", "shard_tx_count_",
-      "shard_listen_count_"};
+      "shard_listen_count_", "rows_", "adjacency_"};
   return kSanctioned;
 }
 
