@@ -319,11 +319,19 @@ GraphBuilder& GraphBuilder::AddEdge(NodeId u, NodeId v) {
   return *this;
 }
 
+std::span<Edge> GraphBuilder::AppendEdgeSlots(std::uint64_t count) {
+  const std::size_t first = edges_.size();
+  edges_.resize(first + count);
+  return {edges_.data() + first, static_cast<std::size_t>(count)};
+}
+
 void GraphBuilder::MaterializeSeen() {
   tracking_ = true;
   seen_.reserve(edges_.size() * 2);
   for (const Edge& e : edges_) {
-    seen_.insert((static_cast<std::uint64_t>(e.u) << 32) | e.v);
+    // AppendEdgeSlots slots may hold either orientation.
+    const auto [u, v] = std::minmax(e.u, e.v);
+    seen_.insert((static_cast<std::uint64_t>(u) << 32) | v);
   }
 }
 
@@ -347,74 +355,153 @@ void GraphBuilder::AddEdgeDedup(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::Build() && {
-  // Counting-sort construction, O(n + m) plus unsorted-row sorts (see the
-  // class comment); there is no global edge sort.
+  // Source-partitioned counting sort, O(n + m) plus unsorted-row sorts (see
+  // the class comment); there is no global edge sort.
+  const NodeId n = num_nodes_;
+  const std::uint64_t m = edges_.size();
+  const unsigned jobs = par::DefaultJobs();
+  // Row counts per part are 32-bit, so no part's slice reaches 2^31 edges.
+  const auto parts = static_cast<unsigned>(
+      std::max<std::uint64_t>(m < kParallelMinEdges ? 1 : jobs, (m >> 31) + 1));
+  const auto slice_begin = [m, parts](std::uint64_t part) {
+    return static_cast<std::uint64_t>(static_cast<unsigned __int128>(m) * part / parts);
+  };
+  const Edge* edges = edges_.data();
+
+  // Count: each part histograms its own slice into a private row array,
+  // checking every slot as AddEdge would. A part stops at its first bad
+  // slot; the earliest one over all parts is the one reported, exactly the
+  // edge a serial AddEdge stream would have thrown on.
+  struct alignas(64) SliceCheck {
+    std::uint64_t first_bad = 0;
+  };
+  std::vector<std::vector<std::uint32_t>> part_cursors(parts);
+  std::vector<SliceCheck> checks(parts);
+  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {
+    part_cursors[part].assign(n, 0);
+    std::uint32_t* counts = part_cursors[part].data();
+    const std::uint64_t end = slice_begin(part + 1);
+    std::uint64_t i = slice_begin(part);
+    for (; i < end; ++i) {
+      const Edge e = edges[i];
+      if (e.u >= n || e.v >= n || e.u == e.v) break;
+      ++counts[e.u];
+      ++counts[e.v];
+    }
+    SliceCheck& check = checks[part];
+    check.first_bad = i < end ? i : m;
+  });
+  for (const SliceCheck& check : checks) {
+    if (check.first_bad == m) continue;
+    const Edge bad = edges[check.first_bad];
+    EMIS_REQUIRE(bad.u < n && bad.v < n, "node out of range");
+    EMIS_REQUIRE(bad.u != bad.v, "self-loops are not allowed");
+  }
+
+  // Prefix over (row, part): row v starts at offsets[v], and within it part
+  // p writes from position cursors_p[v] on, after parts 0..p-1. The
+  // histograms become these row-relative cursors in place.
   Graph g;
   std::vector<std::uint64_t>& offsets = g.offsets_;
-  std::vector<NodeId>& adjacency = g.adjacency_;
-  offsets.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const Edge& e : edges_) {
-    ++offsets[e.u];
-    ++offsets[e.v];
-  }
-  // Inclusive prefix sums: offsets[v] is the end of row v for now, and the
-  // scatter below counts it down to the row's start, so no separate cursor
-  // array is needed. offsets[n] is already the total entry count.
+  offsets.resize(static_cast<std::size_t>(n) + 1);
   std::uint64_t total = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) offsets[v] = total += offsets[v];
-  offsets[num_nodes_] = total;
-
-  // Scatter both directions, walking the edges backwards so each row keeps
-  // insertion order. Lexicographic streams (G(n, p), grids, complete graphs)
-  // therefore arrive with every row already sorted. The writes go to up to n
-  // rows at once, so each target line is prefetched a few edges ahead, and
-  // the array is backed by huge pages to keep those writes off the TLB.
-  constexpr std::size_t kPrefetchAhead = 32;
-  ReserveHuge(adjacency, total);
-  const Edge* edges = edges_.data();
-  for (std::size_t i = edges_.size(); i-- > 0;) {
-    if (i >= kPrefetchAhead) {
-      const Edge& ahead = edges[i - kPrefetchAhead];
-      __builtin_prefetch(&adjacency[offsets[ahead.u] - 1], /*rw=*/1, /*locality=*/0);
-      __builtin_prefetch(&adjacency[offsets[ahead.v] - 1], /*rw=*/1, /*locality=*/0);
+  for (NodeId v = 0; v < n; ++v) {
+    offsets[v] = total;
+    std::uint64_t in_row = 0;
+    for (std::vector<std::uint32_t>& cursors : part_cursors) {
+      const std::uint32_t count = cursors[v];
+      cursors[v] = static_cast<std::uint32_t>(in_row);
+      in_row += count;
     }
-    adjacency[--offsets[edges[i].u]] = edges[i].v;
-    adjacency[--offsets[edges[i].v]] = edges[i].u;
+    EMIS_REQUIRE(in_row <= ~std::uint32_t{0}, "too many edges at one node");
+    total += in_row;
   }
-  std::vector<Edge>().swap(edges_);
+  offsets[n] = total;
 
-  // Finalise rows in one pass: sort the rows that need it, then collapse
-  // (AddEdgeDedup) or reject duplicates. {u, v} is stored in row u once per
-  // insertion in either orientation, so a duplicate is adjacent once the row
-  // is sorted. Dedup shifts rows left in place, so offsets[v] is rewritten
-  // only after row v's old extent has been read.
-  std::uint64_t out = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const std::uint64_t begin = offsets[v];
-    const auto first = adjacency.begin() + static_cast<std::ptrdiff_t>(begin);
-    auto last = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    // Strictly increasing means sorted and duplicate-free: one scan for the
-    // common case.
-    if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
-      if (!std::is_sorted(first, last)) std::sort(first, last);
-      if (dedup_at_build_) {
-        last = std::unique(first, last);
-      } else {
-        EMIS_REQUIRE(std::adjacent_find(first, last) == last, "duplicate edge");
+  // Scatter: each part writes both directions of its own slice forwards
+  // through its own cursors, so every row keeps insertion order and
+  // lexicographic streams arrive with every row already sorted. No zero
+  // fill precedes it: the scatter is the adjacency's first touch, on huge
+  // pages. The writes go to up to n rows at once, so each target line is
+  // prefetched a few edges ahead.
+  constexpr std::uint64_t kPrefetchAhead = 32;
+  std::vector<NodeId, NoInitAllocator<NodeId>>& csr_adjacency = g.adjacency_;
+  ReserveHuge(csr_adjacency, total);
+  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {
+    std::uint32_t* cursor = part_cursors[part].data();
+    const std::uint64_t* row = offsets.data();
+    const std::uint64_t begin = slice_begin(part);
+    const std::uint64_t end = slice_begin(part + 1);
+    const std::uint64_t prefetch_end = end - std::min(end - begin, kPrefetchAhead);
+    std::uint64_t i = begin;
+    for (; i < prefetch_end; ++i) {
+      const Edge ahead = edges[i + kPrefetchAhead];
+      __builtin_prefetch(&csr_adjacency[row[ahead.u] + cursor[ahead.u]], /*rw=*/1, /*locality=*/0);
+      __builtin_prefetch(&csr_adjacency[row[ahead.v] + cursor[ahead.v]], /*rw=*/1, /*locality=*/0);
+      csr_adjacency[row[edges[i].u] + cursor[edges[i].u]++] = edges[i].v;
+      csr_adjacency[row[edges[i].v] + cursor[edges[i].v]++] = edges[i].u;
+    }
+    for (; i < end; ++i) {
+      csr_adjacency[row[edges[i].u] + cursor[edges[i].u]++] = edges[i].v;
+      csr_adjacency[row[edges[i].v] + cursor[edges[i].v]++] = edges[i].u;
+    }
+  });
+  std::vector<std::vector<std::uint32_t>>().swap(part_cursors);
+  decltype(edges_)().swap(edges_);
+
+  // Finalise rows over edge-balanced row ranges: sort the rows that need
+  // it, then collapse (AddEdgeDedup) or reject duplicates. {u, v} is stored
+  // in row u once per insertion in either orientation, so a duplicate is
+  // adjacent once the row is sorted — whichever parts its copies came from.
+  struct alignas(64) RowTally {
+    std::uint32_t max_degree = 0;
+  };
+  const std::vector<NodeId> cut = EdgeBalancedCut(offsets, parts);
+  std::vector<RowTally> tallies(parts);
+  std::vector<std::uint32_t> deduped_degree(dedup_at_build_ ? n : 0);
+  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {
+    RowTally& tally = tallies[part];
+    for (NodeId v = cut[part]; v < cut[part + 1]; ++v) {
+      const auto first = csr_adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+      auto last = csr_adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+      // Strictly increasing means sorted and duplicate-free: one scan for
+      // the common case.
+      if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+        if (!std::is_sorted(first, last)) std::sort(first, last);
+        if (dedup_at_build_) {
+          last = std::unique(first, last);
+        } else {
+          EMIS_REQUIRE(std::adjacent_find(first, last) == last, "duplicate edge");
+        }
       }
+      const auto degree = static_cast<std::uint32_t>(last - first);
+      if (dedup_at_build_) deduped_degree[v] = degree;
+      tally.max_degree = std::max(tally.max_degree, degree);
     }
-    if (out != begin) {
-      std::move(first, last, adjacency.begin() + static_cast<std::ptrdiff_t>(out));
-    }
-    offsets[v] = out;
-    const auto degree = static_cast<std::uint32_t>(last - first);
-    out += degree;
-    g.max_degree_ = std::max(g.max_degree_, degree);
+  });
+  for (const RowTally& tally : tallies) {
+    g.max_degree_ = std::max(g.max_degree_, tally.max_degree);
   }
-  offsets[num_nodes_] = out;
-  if (out != adjacency.size()) {
-    adjacency.resize(out);
-    adjacency.shrink_to_fit();
+
+  // Dedup shifts rows left in place, serially: offsets[v] is rewritten only
+  // after row v's old extent has been read.
+  if (dedup_at_build_) {
+    std::uint64_t out = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t begin = offsets[v];
+      if (out != begin) {
+        std::copy(csr_adjacency.begin() + static_cast<std::ptrdiff_t>(begin),
+                  csr_adjacency.begin() + static_cast<std::ptrdiff_t>(begin + deduped_degree[v]),
+                  csr_adjacency.begin() + static_cast<std::ptrdiff_t>(out));
+      }
+      offsets[v] = out;
+      out += deduped_degree[v];
+    }
+    offsets[n] = out;
+    if (out != csr_adjacency.size()) {
+      csr_adjacency.resize(out);
+      csr_adjacency.shrink_to_fit();
+    }
   }
   return g;
 }

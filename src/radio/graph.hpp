@@ -12,15 +12,18 @@
 #include <utility>
 #include <vector>
 
+#include "radio/hugepages.hpp"
 #include "radio/size_budget.hpp"
 #include "radio/types.hpp"
 
 namespace emis {
 
 /// An undirected edge; normalized so that u < v once inside a Graph.
+/// Trivial (no member initializers; `Edge{}` is {0, 0}), so a builder's
+/// pending slots can be allocated without a zero-fill.
 struct Edge {
-  NodeId u = 0;
-  NodeId v = 0;
+  NodeId u;
+  NodeId v;
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
@@ -126,9 +129,11 @@ class Graph {
   }
 
   // Owned storage (built graphs): offsets_ has NumNodes()+1 entries;
-  // adjacency_ holds each edge twice.
+  // adjacency_ holds each edge twice. Its resize() does not zero-fill:
+  // GraphBuilder's parallel scatter writes every entry and is the first
+  // touch.
   std::vector<std::uint64_t> offsets_{0};
-  std::vector<NodeId> adjacency_;
+  std::vector<NodeId, NoInitAllocator<NodeId>> adjacency_;
   // Mapped storage (FromMappedCsr): the view pointers alias memory kept
   // alive by mapping_, never by this object — so defaulted copy/move stay
   // correct for both storage kinds (a copy shares the mapping).
@@ -299,28 +304,47 @@ class ResidualGraph {
 
 /// Incremental construction helper used by the generators.
 ///
-/// Build() is O(n + m) plus the cost of sorting rows that arrive unsorted:
-/// it counts degrees, scatters both directions of every pending edge into
-/// the CSR in insertion order, frees the pending list, then finalises each
-/// row (sorted only if it is not already, duplicates checked, Δ recomputed).
-/// Edges streamed in lexicographic order — G(n, p), grids, complete graphs
-/// — need no sorting at all. A simple graph with sorted rows has exactly
-/// one CSR, so the result never depends on insertion order or orientation.
+/// Build() is O(n + m) plus the cost of sorting rows that arrive unsorted,
+/// a counting sort partitioned by source: the pending edges are cut into
+/// contiguous slices, one per part. Each part counts the degrees of its own
+/// slice into a private row histogram; a prefix over (row, part) turns the
+/// histograms into private write cursors; each part then scatters both
+/// directions of its slice, so every row holds part 0's entries, then part
+/// 1's, ... — insertion order. A pass over edge-balanced row ranges then
+/// finalises each row (sorted only if it is not already, duplicates
+/// checked, Δ recomputed). Edges streamed in lexicographic order — G(n, p),
+/// grids, complete graphs, the unit-disk generator's presorted rows — need
+/// no sorting at all. A simple graph with sorted rows has exactly one CSR,
+/// so the result never depends on insertion order, orientation, or the
+/// number of parts.
 ///
-/// Three edge-insertion styles with different cost profiles:
+/// From kParallelMinEdges pending edges on, the parts run on the shared
+/// pool (par::ParallelFor at par::DefaultJobs(); inline inside a pool
+/// worker); below it there is one part and everything runs on the caller.
+///
+/// Four edge-insertion styles with different cost profiles:
 ///   * AddEdge — append-only; the bulk-generator fast path. No hash-set
 ///     work unless AddEdgeIfAbsent has been called on this builder.
+///   * AppendEdgeSlots — reserves a run of pending slots the caller fills in
+///     place, e.g. from pool workers (the G(n, p) sampler). The slots get
+///     AddEdge's range and self-loop checks at Build time, with the same
+///     errors (the earliest bad slot's).
 ///   * AddEdgeIfAbsent — membership-checked insert (needs the answer *now*,
 ///     e.g. to count distinct edges). The membership set is materialized
 ///     lazily on first use, so pure-AddEdge builders never pay for it.
 ///   * AddEdgeDedup — append now; Build() collapses repeats with a per-row
-///     unique and shifts rows left in place. Cheapest way to insert a
-///     stream with many repeats when the caller does not need per-insert
-///     feedback (e.g. Square()). The CSR is sized by pending insertions
-///     until the repeats are removed.
+///     unique and shifts rows left in place (the one serial pass of a
+///     dedup build). Cheapest way to insert a stream with many repeats when
+///     the caller does not need per-insert feedback (e.g. Square()). The
+///     CSR is sized by pending insertions until the repeats are removed.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {}
+
+  /// Pending edges from which Build() and the G(n, p) sampler split their
+  /// passes across the pool: below it, dispatch latency outweighs the
+  /// split work.
+  static constexpr std::uint64_t kParallelMinEdges = std::uint64_t{1} << 14;
 
   /// Pre-allocates the pending-edge list for `edges` insertions (huge-page
   /// advised). Purely an allocation hint; generators with a known or
@@ -332,9 +356,16 @@ class GraphBuilder {
   /// for duplicates — unless AddEdgeDedup armed dedup-at-build).
   GraphBuilder& AddEdge(NodeId u, NodeId v);
 
+  /// Appends `count` pending-edge slots, in either orientation, for the
+  /// caller to fill before Build(); the span stays valid until the next
+  /// insertion. Build() checks each slot as AddEdge would ("node out of
+  /// range", "self-loops are not allowed"; the earliest bad slot's error).
+  std::span<Edge> AppendEdgeSlots(std::uint64_t count);
+
   /// Adds {u, v} unless it already exists or u == v; returns whether added.
   /// First use materializes the membership set from the pending edges.
-  /// Edges inserted later via AddEdgeDedup are invisible to this check.
+  /// Edges inserted later via AddEdgeDedup or AppendEdgeSlots are invisible
+  /// to this check.
   bool AddEdgeIfAbsent(NodeId u, NodeId v);
 
   /// Appends {u, v} (u != v required) without any membership check and arms
@@ -351,7 +382,10 @@ class GraphBuilder {
   void MaterializeSeen();
 
   NodeId num_nodes_;
-  std::vector<Edge> edges_;
+  // Pending edges. Slots are not zero-filled on growth: AppendEdgeSlots'
+  // callers write every slot, and the sampler's parallel decode is their
+  // first touch.
+  std::vector<Edge, NoInitAllocator<Edge>> edges_;
   // Membership set for AddEdgeIfAbsent; keyed by (u << 32) | v with u < v.
   // Empty and untouched until the first AddEdgeIfAbsent call (tracking_).
   std::unordered_set<std::uint64_t> seen_;

@@ -4,48 +4,175 @@
 #include <cmath>
 #include <functional>
 #include <queue>
+#include <span>
 #include <vector>
+
+#include "verify/parallel.hpp"
 
 namespace emis::gen {
 namespace {
 
-/// Skip-sampling for G(n, p): iterates over present pairs directly, giving
-/// O(n + m) expected work instead of O(n^2) Bernoulli draws.
-template <typename EmitEdge>
-void SampleBernoulliPairs(NodeId n, double p, Rng& rng, EmitEdge emit) {
-  if (n < 2 || p <= 0.0) return;
-  if (p >= 1.0) {
-    for (NodeId u = 0; u < n; ++u)
-      for (NodeId v = u + 1; v < n; ++v) emit(u, v);
-    return;
+/// First pair position of row r in the lexicographic pair order: row r owns
+/// the n-1-r positions [RowBegin(n, r), RowBegin(n, r + 1)) of the pairs
+/// (r, r+1..). The 128-bit product cannot overflow for any NodeId n.
+std::uint64_t RowBegin(NodeId n, NodeId r) {
+  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(r) *
+                                    (2 * static_cast<std::uint64_t>(n) - r - 1) / 2);
+}
+
+/// Decodes increasing pair positions to edges. Positions only grow, so the
+/// cursor moves forward and a whole run costs O(n + m) (Batagelj & Brandes
+/// 2005) rather than a search per edge; only its start is a binary search.
+class RowCursor {
+ public:
+  /// A cursor on the row holding `pos` (< n(n-1)/2).
+  RowCursor(NodeId n, std::uint64_t pos) : n_(n) {
+    NodeId lo = 0, hi = n - 2;  // largest row r with RowBegin(r) <= pos
+    while (lo < hi) {
+      const NodeId mid = lo + (hi - lo + 1) / 2;
+      if (RowBegin(n, mid) <= pos) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    row_ = lo;
+    row_begin_ = RowBegin(n, lo);
+    row_end_ = row_begin_ + (n - 1 - lo);
   }
-  // Pairs in lexicographic order are positions 0..n(n-1)/2-1; jump between
-  // successes with geometric gaps: gap = floor(log(U)/log(1-p)).
-  const double log1mp = std::log1p(-p);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  std::uint64_t pos = 0;
-  // Row r owns the n-1-r positions [row_begin, row_end) of pairs (r, r+1..).
-  // Positions only grow, so a forward cursor decodes them in O(n + m) total
-  // (Batagelj & Brandes 2005) rather than a binary search per edge.
-  NodeId row = 0;
-  std::uint64_t row_begin = 0;
-  std::uint64_t row_end = n - 1;
+
+  /// The pair at `pos`, which must not precede the previous call's.
+  Edge Decode(std::uint64_t pos) {
+    while (pos >= row_end_) {
+      ++row_;
+      row_begin_ = row_end_;
+      row_end_ += n_ - 1 - row_;
+    }
+    return {row_, static_cast<NodeId>(row_ + 1 + (pos - row_begin_))};
+  }
+
+ private:
+  NodeId n_;
+  NodeId row_ = 0;
+  std::uint64_t row_begin_ = 0;
+  std::uint64_t row_end_ = 0;
+};
+
+/// The geometric gap a uniform draw encodes: the pair after a success is
+/// the next success with probability p, so floor(log(U) / log(1-p)) pairs
+/// are skipped. U is clamped away from 0 to keep the log finite.
+double GapOf(double u, double log1mp) { return std::log(std::max(u, 1e-300)) / log1mp; }
+
+/// The sampler's per-draw loop, from pair position `pos` (< total) until
+/// it stops: the exact reference every block of SampleBernoulliPairs must
+/// agree with, and what runs wherever a block cannot prove it agrees.
+void SampleTail(NodeId n, double log1mp, std::uint64_t total, std::uint64_t pos, Rng& rng,
+                GraphBuilder& builder) {
+  RowCursor cursor(n, pos);
   for (;;) {
-    const double u = std::max(rng.UniformUnit(), 1e-300);  // avoid log(0)
+    const double skip = GapOf(rng.UniformUnit(), log1mp);
     // The gap is positive, so truncation is its floor; and total - pos is a
     // whole number, so testing the unfloored gap against it is equivalent.
-    const double skip = std::log(u) / log1mp;
     if (skip >= static_cast<double>(total - pos)) return;
     pos += static_cast<std::uint64_t>(skip);
     if (pos >= total) return;
-    while (pos >= row_end) {
-      ++row;
-      row_begin = row_end;
-      row_end += n - 1 - row;
-    }
-    emit(row, static_cast<NodeId>(row + 1 + (pos - row_begin)));
+    const Edge e = cursor.Decode(pos);
+    builder.AddEdge(e.u, e.v);
     ++pos;
     if (pos >= total) return;
+  }
+}
+
+/// Skip-sampling for G(n, p): iterates over present pairs directly, giving
+/// O(n + m) expected work instead of O(n^2) Bernoulli draws. Pairs in
+/// lexicographic order are positions 0..n(n-1)/2-1; successive successes
+/// are geometric gaps apart, one uniform draw each.
+///
+/// The draws run through blocks of whole chunks (kSamplerChunkDraws each),
+/// block sizes doubling to kMaxBlockChunks:
+///   1. the caller draws the block's uniforms (the xoshiro stream is
+///      sequential), keeping a copy of the Rng from the block's start;
+///   2. chunks turn them into gaps on the pool, with each chunk's integer
+///      sum of floor(gap) + 1 — the positions the chunk advances;
+///   3. a serial scan passes a chunk whole only while every gap is < 2^52
+///      and its sum is < total - pos. Then no draw inside it can stop the
+///      per-draw loop: pos_i + floor(gap_i) + 1 <= pos + sum < total, so
+///      neither position test fires and gap_i < total - pos_i; as gap_i <
+///      2^52, the double comparison agrees even where rounding total - pos_i
+///      to a double (past 2^53) moves it;
+///   4. the passed chunks decode their positions on the pool, each from a
+///      cursor placed by binary search, into edge slots reserved in order;
+///   5. the first chunk that might stop the loop is replayed exactly by
+///      SampleTail, with the Rng rewound to the block's start and advanced
+///      by the draws the passed chunks consumed.
+/// The edges, their order and the Rng state afterwards are therefore those
+/// of the per-draw loop alone, at any job count. No draw happens on a pool
+/// worker.
+void SampleBernoulliPairs(NodeId n, double p, Rng& rng, GraphBuilder& builder) {
+  if (n < 2 || p <= 0.0) return;
+  if (p >= 1.0) {
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = u + 1; v < n; ++v) builder.AddEdge(u, v);
+    return;
+  }
+  constexpr std::uint64_t kMaxBlockChunks = 256;  // 2 MiB of gaps
+  constexpr double kExactGap = 0x1p52;
+  const double log1mp = std::log1p(-p);
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  const unsigned jobs = p * static_cast<double>(total) >=
+                                static_cast<double>(GraphBuilder::kParallelMinEdges)
+                            ? par::DefaultJobs()
+                            : 1;
+  struct ChunkScan {
+    std::uint64_t advance = 0;  // sum of floor(gap) + 1 (valid when exact)
+    std::uint64_t start = 0;    // position before the chunk's first gap
+    bool exact = false;         // every gap < kExactGap
+  };
+  std::vector<double> gaps;
+  std::vector<ChunkScan> scans;
+  std::uint64_t pos = 0;
+  for (std::uint64_t chunks = 1;; chunks = std::min(2 * chunks, kMaxBlockChunks)) {
+    const Rng block_start = rng;
+    gaps.resize(chunks * kSamplerChunkDraws);
+    for (double& u : gaps) u = rng.UniformUnit();
+    scans.resize(chunks);
+    par::ParallelFor(jobs, chunks, [&](std::uint64_t c, unsigned) {
+      double* gap = gaps.data() + c * kSamplerChunkDraws;
+      std::uint64_t advance = 0;
+      bool exact = true;
+      for (std::uint64_t i = 0; i < kSamplerChunkDraws; ++i) {
+        gap[i] = GapOf(gap[i], log1mp);
+        exact &= gap[i] < kExactGap;
+        advance += static_cast<std::uint64_t>(std::min(gap[i], kExactGap)) + 1;
+      }
+      ChunkScan& scan = scans[c];
+      scan.advance = advance;
+      scan.exact = exact;
+    });
+    std::uint64_t whole = 0;
+    for (; whole < chunks; ++whole) {
+      ChunkScan& scan = scans[whole];
+      if (!scan.exact || scan.advance >= total - pos) break;
+      scan.start = pos;
+      pos += scan.advance;
+    }
+    const std::span<Edge> edge_slots = builder.AppendEdgeSlots(whole * kSamplerChunkDraws);
+    par::ParallelFor(jobs, whole, [&](std::uint64_t c, unsigned) {
+      const double* gap = gaps.data() + c * kSamplerChunkDraws;
+      std::uint64_t at = scans[c].start;
+      RowCursor cursor(n, at);
+      for (std::uint64_t i = 0; i < kSamplerChunkDraws; ++i) {
+        at += static_cast<std::uint64_t>(gap[i]);
+        edge_slots[c * kSamplerChunkDraws + i] = cursor.Decode(at);
+        ++at;
+      }
+    });
+    if (whole < chunks) {
+      rng = block_start;
+      for (std::uint64_t k = 0; k < whole * kSamplerChunkDraws; ++k) rng.NextU64();
+      SampleTail(n, log1mp, total, pos, rng, builder);
+      return;
+    }
   }
 }
 
@@ -62,7 +189,7 @@ Graph ErdosRenyi(NodeId n, double p, Rng& rng) {
     builder.Reserve(static_cast<std::uint64_t>(
         expected + 3.0 * std::sqrt(expected * (1.0 - p)) + 16.0));
   }
-  SampleBernoulliPairs(n, p, rng, [&](NodeId u, NodeId v) { builder.AddEdge(u, v); });
+  SampleBernoulliPairs(n, p, rng, builder);
   return std::move(builder).Build();
 }
 
@@ -94,34 +221,67 @@ Graph RandomGeometric(NodeId n, double radius, Rng& rng) {
   const auto max_side = static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n))) + 1;
   const auto side = static_cast<std::uint32_t>(
       std::clamp(std::floor(1.0 / cell), 1.0, static_cast<double>(max_side)));
-  std::vector<std::vector<NodeId>> buckets(static_cast<std::size_t>(side) * side);
-  auto bucket_of = [&](NodeId v) {
-    auto bx = std::min<std::uint32_t>(side - 1, static_cast<std::uint32_t>(x[v] * side));
-    auto by = std::min<std::uint32_t>(side - 1, static_cast<std::uint32_t>(y[v] * side));
-    return static_cast<std::size_t>(bx) * side + by;
+  const auto coord_cell = [side](double c) {
+    return std::min<std::uint32_t>(side - 1, static_cast<std::uint32_t>(c * side));
   };
-  for (NodeId v = 0; v < n; ++v) buckets[bucket_of(v)].push_back(v);
+  // Counting-sort the points by cell (cx * side + cy) into structure-of-
+  // arrays coordinates, ids ascending within a cell. The three cells
+  // (cx, cy-1..cy+1) are then one contiguous strip.
+  const std::size_t cells = static_cast<std::size_t>(side) * side;
+  std::vector<NodeId> cell_start(cells + 1, 0);
+  std::vector<std::uint32_t> cell_of(n);
+  for (NodeId v = 0; v < n; ++v) {
+    cell_of[v] = coord_cell(x[v]) * side + coord_cell(y[v]);
+    ++cell_start[cell_of[v] + 1];
+  }
+  for (std::size_t c = 0; c < cells; ++c) cell_start[c + 1] += cell_start[c];
+  std::vector<double> sorted_x(n), sorted_y(n);
+  std::vector<NodeId> sorted_id(n);
+  {
+    std::vector<NodeId> fill(cell_start.begin(), cell_start.end() - 1);
+    for (NodeId v = 0; v < n; ++v) {
+      const NodeId slot = fill[cell_of[v]]++;
+      sorted_x[slot] = x[v];
+      sorted_y[slot] = y[v];
+      sorted_id[slot] = v;
+    }
+  }
 
   const double r2 = radius * radius;
   GraphBuilder builder(n);
+  std::vector<NodeId> upper;  // v's upper neighbours
   for (NodeId v = 0; v < n; ++v) {
-    const auto bx = static_cast<std::int64_t>(std::min<std::uint32_t>(
-        side - 1, static_cast<std::uint32_t>(x[v] * side)));
-    const auto by = static_cast<std::int64_t>(std::min<std::uint32_t>(
-        side - 1, static_cast<std::uint32_t>(y[v] * side)));
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const std::int64_t cx = bx + dx, cy = by + dy;
-        if (cx < 0 || cy < 0 || cx >= static_cast<std::int64_t>(side) ||
-            cy >= static_cast<std::int64_t>(side))
-          continue;
-        for (NodeId w : buckets[static_cast<std::size_t>(cx) * side + cy]) {
-          if (w <= v) continue;
-          const double ddx = x[v] - x[w], ddy = y[v] - y[w];
-          if (ddx * ddx + ddy * ddy <= r2) builder.AddEdge(v, w);
-        }
+    const std::uint32_t bx = coord_cell(x[v]);
+    const std::uint32_t by = coord_cell(y[v]);
+    const std::uint32_t y_lo = by == 0 ? 0 : by - 1;
+    const std::uint32_t y_hi = std::min(by + 1, side - 1);
+    const std::uint32_t x_lo = bx == 0 ? 0 : bx - 1;
+    const std::uint32_t x_hi = std::min(bx + 1, side - 1);
+    std::size_t candidates = 0;
+    for (std::uint32_t cx = x_lo; cx <= x_hi; ++cx) {
+      const std::size_t row = static_cast<std::size_t>(cx) * side;
+      candidates += cell_start[row + y_hi + 1] - cell_start[row + y_lo];
+    }
+    if (upper.size() < candidates) upper.resize(candidates);
+    // Branch-free filter: every candidate is written, and kept only if it
+    // is above v and within the radius.
+    std::size_t count = 0;
+    for (std::uint32_t cx = x_lo; cx <= x_hi; ++cx) {
+      const std::size_t row = static_cast<std::size_t>(cx) * side;
+      const NodeId strip_end = cell_start[row + y_hi + 1];
+      for (NodeId k = cell_start[row + y_lo]; k < strip_end; ++k) {
+        const double ddx = x[v] - sorted_x[k], ddy = y[v] - sorted_y[k];
+        upper[count] = sorted_id[k];
+        count += static_cast<std::size_t>(sorted_id[k] > v) &
+                 static_cast<std::size_t>(ddx * ddx + ddy * ddy <= r2);
       }
     }
+    // Ascending rows (lower neighbours arrive first, in v order) let Build
+    // skip its per-row sort. At the usual ~16 ids std::sort is one
+    // insertion sort; it stays O(k log k) on dense inputs.
+    const auto kept = upper.begin() + static_cast<std::ptrdiff_t>(count);
+    std::sort(upper.begin(), kept);
+    for (auto it = upper.begin(); it != kept; ++it) builder.AddEdge(v, *it);
   }
   return std::move(builder).Build();
 }

@@ -12,13 +12,23 @@
 namespace emis::gen {
 
 /// Erdős–Rényi G(n, p): each pair is an edge independently with prob. p.
+/// Skip-sampled (one uniform draw per edge, plus the draw that ends it) and
+/// pipelined over the shared pool in blocks of kSamplerChunkDraws-draw
+/// chunks; the graph and the Rng state afterwards are those of a plain
+/// per-draw loop at any job count (graph_generators.cpp, DESIGN.md §2.1).
 Graph ErdosRenyi(NodeId n, double p, Rng& rng);
+
+/// Draws per chunk of the G(n, p) sampler's block pipeline: the unit its
+/// gap, exactness-test and decode passes work in.
+inline constexpr std::uint64_t kSamplerChunkDraws = 1024;
 
 /// G(n, m): exactly m distinct uniform edges. Requires m <= n(n-1)/2.
 Graph GnM(NodeId n, std::uint64_t m, Rng& rng);
 
 /// Random geometric / unit-disk graph: n points uniform in the unit square,
 /// edge iff Euclidean distance <= radius. The classic ad-hoc sensor layout.
+/// Points are counting-sorted into grid cells; each node's upper neighbours
+/// are emitted in ascending order, so Build() finds every row sorted.
 Graph RandomGeometric(NodeId n, double radius, Rng& rng);
 
 /// Two-dimensional grid of rows x cols nodes (4-neighborhood).

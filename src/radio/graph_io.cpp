@@ -235,6 +235,16 @@ struct SpecArgs {
     return value;
   }
 
+  /// GetU64 for a 32-bit parameter (a node count, an attachment count, a
+  /// degree): larger values are rejected, never truncated.
+  std::uint32_t GetU32(const std::string& key) const {
+    static_assert(sizeof(NodeId) == sizeof(std::uint32_t));
+    const std::uint64_t value = GetU64(key);
+    EMIS_REQUIRE(value <= ~std::uint32_t{0}, "graph spec '" + family + "' parameter '" +
+                                                 key + "' too large (max 4294967295)");
+    return static_cast<std::uint32_t>(value);
+  }
+
   double GetDouble(const std::string& key) const {
     const auto it = kv.find(key);
     EMIS_REQUIRE(it != kv.end(),
@@ -270,41 +280,56 @@ SpecArgs ParseSpec(std::string_view spec) {
   return args;
 }
 
+/// The node count x * y (or x + y) a family derives from two parameters;
+/// rejected when it does not fit a NodeId, before any generator sees it.
+NodeId NodeProduct(const SpecArgs& a, NodeId x, NodeId y) {
+  NodeId out = 0;
+  EMIS_REQUIRE(!__builtin_mul_overflow(x, y, &out),
+               "graph spec '" + a.family + "' node count too large");
+  return out;
+}
+NodeId NodeSum(const SpecArgs& a, NodeId x, NodeId y) {
+  NodeId out = 0;
+  EMIS_REQUIRE(!__builtin_add_overflow(x, y, &out),
+               "graph spec '" + a.family + "' node count too large");
+  return out;
+}
+
 }  // namespace
 
 Graph GraphFromSpec(std::string_view spec, Rng& rng) {
   const SpecArgs a = ParseSpec(spec);
-  const auto n = [&a] { return static_cast<NodeId>(a.GetU64("n")); };
+  const auto n = [&a] { return a.GetU32("n"); };
   if (a.family == "er") return gen::ErdosRenyi(n(), a.GetDouble("p"), rng);
   if (a.family == "gnm") return gen::GnM(n(), a.GetU64("m"), rng);
   if (a.family == "udg") return gen::RandomGeometric(n(), a.GetDouble("r"), rng);
   if (a.family == "grid") {
-    return gen::Grid(static_cast<NodeId>(a.GetU64("rows")),
-                     static_cast<NodeId>(a.GetU64("cols")));
+    const NodeId rows = a.GetU32("rows"), cols = a.GetU32("cols");
+    NodeProduct(a, rows, cols);
+    return gen::Grid(rows, cols);
   }
   if (a.family == "path") return gen::Path(n());
   if (a.family == "cycle") return gen::Cycle(n());
   if (a.family == "star") return gen::Star(n());
   if (a.family == "complete") return gen::Complete(n());
   if (a.family == "bipartite") {
-    return gen::CompleteBipartite(static_cast<NodeId>(a.GetU64("left")),
-                                  static_cast<NodeId>(a.GetU64("right")));
+    const NodeId left = a.GetU32("left"), right = a.GetU32("right");
+    NodeSum(a, left, right);
+    return gen::CompleteBipartite(left, right);
   }
   if (a.family == "tree") return gen::RandomTree(n(), rng);
-  if (a.family == "ba") {
-    return gen::BarabasiAlbert(n(), static_cast<std::uint32_t>(a.GetU64("m")), rng);
-  }
-  if (a.family == "regular") {
-    return gen::NearRegular(n(), static_cast<std::uint32_t>(a.GetU64("d")), rng);
-  }
+  if (a.family == "ba") return gen::BarabasiAlbert(n(), a.GetU32("m"), rng);
+  if (a.family == "regular") return gen::NearRegular(n(), a.GetU32("d"), rng);
   if (a.family == "matching") return gen::MatchingPlusIsolated(n());
   if (a.family == "cliques") {
-    return gen::DisjointCliques(static_cast<NodeId>(a.GetU64("count")),
-                                static_cast<NodeId>(a.GetU64("size")));
+    const NodeId count = a.GetU32("count"), size = a.GetU32("size");
+    NodeProduct(a, count, size);
+    return gen::DisjointCliques(count, size);
   }
   if (a.family == "caterpillar") {
-    return gen::Caterpillar(static_cast<NodeId>(a.GetU64("spine")),
-                            static_cast<NodeId>(a.GetU64("legs")));
+    const NodeId spine = a.GetU32("spine"), legs = a.GetU32("legs");
+    NodeProduct(a, spine, NodeSum(a, legs, 1));
+    return gen::Caterpillar(spine, legs);
   }
   if (a.family == "empty") return gen::Empty(n());
   throw PreconditionError("unknown graph family '" + a.family + "'; known: " +

@@ -15,6 +15,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -42,10 +46,35 @@ inline void AdviseHugePages(void* base, std::size_t bytes) noexcept {
 #endif
 }
 
-/// reserve() + advise + resize(), in that order, so the value-initializing
-/// first touch faults huge pages directly instead of queueing for collapse.
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() on a vector of a trivial T leaves the new elements unwritten.
+/// For arrays a parallel pass fills completely: that pass is then the first
+/// touch, and its page faults land on the writers instead of a serial
+/// zero-fill.
 template <typename T>
-void ReserveHuge(std::vector<T>& vec, std::size_t count) {
+struct NoInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoInitAllocator<U>;
+  };
+  NoInitAllocator() noexcept = default;
+  template <typename U>
+  NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// reserve() + advise + resize(), in that order, so the first touch (the
+/// value-initializing resize, or with NoInitAllocator the caller's fill)
+/// faults huge pages directly instead of queueing for collapse.
+template <typename T, typename Alloc>
+void ReserveHuge(std::vector<T, Alloc>& vec, std::size_t count) {
   vec.reserve(count);
   AdviseHugePages(vec.data(), count * sizeof(T));
   vec.resize(count);

@@ -802,6 +802,35 @@ TEST(ParallelRegionMutation, RowOwnerSanctionCoversOnlyResidualRows) {
   EXPECT_EQ(r.findings[1].line, 7);
 }
 
+TEST(ParallelRegionMutation, GraphBuilderSanctionCoversOnlyItsSlices) {
+  // The shapes of the G(n, p) sampler's chunk decode and Build's
+  // source-partitioned count, scatter and row pass. Sanctioned for
+  // edge_slots, part_cursors, csr_adjacency and deduped_degree (each part
+  // writes only its own slice or rows); the same writes to any other array
+  // are still flagged.
+  const Report r = LintSource(
+      "src/radio/x.cpp",
+      "void GraphBuilder::Pass() {\n"
+      "  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {\n"
+      "    std::uint64_t* cursor = part_cursors[part].data();\n"  // a local
+      "    edge_slots[part * kChunk + i] = rows.Decode(at);\n"    // sanctioned
+      "    ++part_cursors[part][e.u];\n"                          // sanctioned
+      "    csr_adjacency[cursor[e.u]++] = e.v;\n"                 // sanctioned
+      "    deduped_degree[v] = degree;\n"                         // sanctioned
+      "    pending_edges[part * kChunk + i] = rows.Decode(at);\n"    // flagged
+      "    ++row_counts[part][e.u];\n"                               // flagged
+      "    adjacency[cursor[e.u]++] = e.v;\n"                        // flagged
+      "  });\n"
+      "}\n");
+  ASSERT_EQ(r.findings.size(), 3u);
+  EXPECT_EQ(r.findings[0].symbol, "pending_edges");
+  EXPECT_EQ(r.findings[0].line, 8);
+  EXPECT_EQ(r.findings[1].symbol, "row_counts");
+  EXPECT_EQ(r.findings[1].line, 9);
+  EXPECT_EQ(r.findings[2].symbol, "adjacency");
+  EXPECT_EQ(r.findings[2].line, 10);
+}
+
 TEST(ParallelRegionMutation, SuppressedByWaiver) {
   const Report r = LintSource(
       "src/radio/x.cpp",

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "verify/parallel.hpp"
 
 namespace emis {
 namespace {
@@ -211,7 +215,11 @@ TEST(Generators, EmptyGenerator) {
 // to the row order, or to the construction path that lays them out fails
 // here. The expected values were recorded from the earlier sort-based
 // builder and binary-search G(n, p) decoder, so they also prove the current
-// construction path produces the same bytes.
+// construction path produces the same bytes. The last three cases cross
+// GraphBuilder::kParallelMinEdges and span several sampler blocks; their
+// values were recorded from the serial per-draw sampler and single-threaded
+// scatter, so they pin the block pipeline and the source-partitioned Build
+// to the serial bytes.
 
 std::uint64_t CsrHash(const Graph& g) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -240,6 +248,12 @@ std::vector<NodeId> ShuffledSelection(const Graph& g, Rng& rng) {
     std::swap(nodes[i - 1], nodes[rng.UniformBelow(i)]);
   }
   return nodes;
+}
+
+/// The sweep's unit-disk shape (average degree 32) at n = 2^16.
+Graph LargeUnitDisk(Rng& rng) {
+  constexpr NodeId kN = 65536;
+  return gen::RandomGeometric(kN, std::sqrt(32.0 / (M_PI * kN)), rng);
 }
 
 struct PinnedGraph {
@@ -280,10 +294,114 @@ TEST(Generators, CsrBytesArePinned) {
          return g.Induced(ShuffledSelection(g, r)).graph;
        },
        0x19706d682690f5f6ULL},
+      {"er n=65536 p=0.002", [] { Rng r(112); return gen::ErdosRenyi(65536, 0.002, r); },
+       0xe514c5dd0d71284cULL},
+      {"udg n=65536 r=sqrt(32/(pi n))", [] { Rng r(113); return LargeUnitDisk(r); },
+       0xba86715a7be7dbbfULL},
+      {"udg square n=4096 r=0.03",
+       [] { Rng r(114); return gen::RandomGeometric(4096, 0.03, r).Square(); },
+       0x9c6a3094c93c270fULL},
   };
   for (const PinnedGraph& c : cases) {
     const std::uint64_t actual = CsrHash(c.make());
     EXPECT_EQ(actual, c.hash) << c.name << ": got 0x" << std::hex << actual;
+  }
+}
+
+TEST(Generators, SameBytesInlineAndDispatched) {
+  // Each large case is generated on the main thread, where the sampler and
+  // Build dispatch to the pool, and inside a pool worker, where the same
+  // code runs inline. Bytes and the Rng state afterwards must agree.
+  struct Case {
+    const char* name;
+    std::function<Graph(Rng&)> make;
+  };
+  const std::vector<Case> cases = {
+      {"er n=65536 p=0.002", [](Rng& r) { return gen::ErdosRenyi(65536, 0.002, r); }},
+      {"udg n=65536", [](Rng& r) { return LargeUnitDisk(r); }},
+      {"udg square", [](Rng& r) { return gen::RandomGeometric(4096, 0.03, r).Square(); }},
+  };
+  for (const Case& c : cases) {
+    Rng dispatched_rng(7), inline_rng(7);
+    const std::uint64_t dispatched = CsrHash(c.make(dispatched_rng));
+    std::uint64_t in_worker = 0;
+    par::ParallelFor(2, 2, [&](std::uint64_t index, unsigned) {
+      if (index == 0) in_worker = CsrHash(c.make(inline_rng));
+    });
+    EXPECT_EQ(dispatched, in_worker) << c.name;
+    EXPECT_EQ(dispatched_rng.NextU64(), inline_rng.NextU64()) << c.name;
+  }
+}
+
+/// The G(n, p) sampler as a plain per-draw loop — the reference the block
+/// pipeline must reproduce draw for draw.
+std::vector<Edge> PerDrawErdosRenyi(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> edges;
+  if (n < 2 || p <= 0.0) return edges;
+  if (p >= 1.0) {
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = u + 1; v < n; ++v) edges.push_back({u, v});
+    return edges;
+  }
+  const double log1mp = std::log1p(-p);
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  std::uint64_t pos = 0;
+  NodeId row = 0;
+  std::uint64_t row_begin = 0;
+  std::uint64_t row_end = n - 1;
+  for (;;) {
+    const double u = std::max(rng.UniformUnit(), 1e-300);
+    const double skip = std::log(u) / log1mp;
+    if (skip >= static_cast<double>(total - pos)) return edges;
+    pos += static_cast<std::uint64_t>(skip);
+    if (pos >= total) return edges;
+    while (pos >= row_end) {
+      ++row;
+      row_begin = row_end;
+      row_end += n - 1 - row;
+    }
+    edges.push_back({row, static_cast<NodeId>(row + 1 + (pos - row_begin))});
+    ++pos;
+    if (pos >= total) return edges;
+  }
+}
+
+void ExpectMatchesPerDrawLoop(NodeId n, double p, std::uint64_t seed) {
+  Rng reference_rng(seed), rng(seed);
+  const std::vector<Edge> expected = PerDrawErdosRenyi(n, p, reference_rng);
+  EXPECT_EQ(gen::ErdosRenyi(n, p, rng).EdgeList(), expected)
+      << "n=" << n << " p=" << p << " seed=" << seed;
+  EXPECT_EQ(reference_rng.NextU64(), rng.NextU64())
+      << "RNG streams diverged: n=" << n << " p=" << p << " seed=" << seed;
+}
+
+TEST(Generators, SamplerMatchesPerDrawLoop) {
+  const double almost_one = 1.0 - 0x1p-40;  // every gap rounds down to 0
+  // Stops inside the first chunk, and degenerate sizes.
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    for (const NodeId n : {0u, 1u, 2u, 30u}) {
+      for (const double p : {0.0, 0.3, almost_one, 1.0}) ExpectMatchesPerDrawLoop(n, p, seed);
+    }
+  }
+  // p so small that every gap is >= 2^52: no chunk passes the exactness
+  // test, so the whole run is the exact tail (here: one draw, no edge).
+  ExpectMatchesPerDrawLoop(5000, 1e-18, 3);
+  ExpectMatchesPerDrawLoop(300, almost_one, 4);
+  // Stops several blocks in, on and off the pool.
+  for (const auto& [n, p] : std::vector<std::pair<NodeId, double>>{
+           {1000, 0.01}, {1000, 0.5}, {5000, 0.01}, {16384, 0.002}}) {
+    ExpectMatchesPerDrawLoop(n, p, 5);
+  }
+  // With p = 1 - 2^-40 every draw emits the next pair, so the run consumes
+  // exactly total = n(n-1)/2 draws. n = 2048 ends it exactly at a chunk
+  // boundary; n = 2047 on the first draw of a chunk.
+  static_assert(2048ULL * 2047 / 2 % gen::kSamplerChunkDraws == 0);
+  static_assert(2047ULL * 2046 / 2 % gen::kSamplerChunkDraws == 1);
+  for (const NodeId n : {2048u, 2047u}) {
+    ExpectMatchesPerDrawLoop(n, almost_one, 6);
+    Rng rng(6);
+    EXPECT_EQ(gen::ErdosRenyi(n, almost_one, rng).NumEdges(),
+              static_cast<std::uint64_t>(n) * (n - 1) / 2);
   }
 }
 

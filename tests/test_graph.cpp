@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -232,6 +233,80 @@ TEST(GraphBuilder, ReversedDuplicateThrowsDuplicateEdge) {
     EXPECT_NE(std::string(e.what()).find("duplicate edge"), std::string::npos)
         << e.what();
   }
+}
+
+/// The message of the PreconditionError `fn` throws, or "" if none.
+template <typename Fn>
+std::string ThrownMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `count` distinct edges on 2000 nodes — enough pending edges for Build()
+/// to split them into parts — in a shuffled order, so rows arrive unsorted.
+std::vector<Edge> ShuffledEdges(std::uint64_t count) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; edges.size() < count; ++u) {
+    for (NodeId d = 1; d <= 40 && edges.size() < count; ++d) edges.push_back({u, u + d});
+  }
+  Rng rng(41);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.UniformBelow(i)]);
+  }
+  return edges;
+}
+
+TEST(GraphBuilder, DuplicateAcrossPartsThrowsDuplicateEdge) {
+  // The first and the last pending edge are the same edge, so at any job
+  // count above one the two copies are counted and scattered by different
+  // parts; the row pass still finds them adjacent.
+  const std::vector<Edge> edges = ShuffledEdges(4 * GraphBuilder::kParallelMinEdges);
+  EXPECT_EQ(Graph::FromEdges(2000, edges).NumEdges(), edges.size());
+  GraphBuilder b(2000);
+  for (const Edge& e : edges) b.AddEdge(e.u, e.v);
+  b.AddEdge(edges.front().v, edges.front().u);
+  const std::string message = ThrownMessage([&] { std::move(b).Build(); });
+  EXPECT_NE(message.find("duplicate edge"), std::string::npos) << message;
+}
+
+TEST(GraphBuilder, BadEdgeSlotsThrowAddEdgeErrors) {
+  const auto build_with = [](std::uint64_t edges, std::vector<std::pair<std::uint64_t, Edge>> bad) {
+    GraphBuilder b(2000);
+    const std::span<Edge> slots = b.AppendEdgeSlots(edges);
+    for (std::uint64_t i = 0; i < edges; ++i) {
+      slots[i] = {static_cast<NodeId>(i % 997), static_cast<NodeId>(i % 997 + 1 + i / 997)};
+    }
+    for (const auto& [index, edge] : bad) slots[index] = edge;
+    return ThrownMessage([&] { std::move(b).Build(); });
+  };
+  const std::string kRange = "node out of range";
+  const std::string kLoop = "self-loops are not allowed";
+  for (const std::uint64_t edges : {std::uint64_t{100}, 4 * GraphBuilder::kParallelMinEdges}) {
+    SCOPED_TRACE(edges);
+    EXPECT_EQ(build_with(edges, {}), "");  // the filler slots are a valid graph
+    EXPECT_NE(build_with(edges, {{edges / 2, {3, 2000}}}).find(kRange), std::string::npos);
+    EXPECT_NE(build_with(edges, {{edges / 2, {2000, 3}}}).find(kRange), std::string::npos);
+    EXPECT_NE(build_with(edges, {{edges / 2, {7, 7}}}).find(kLoop), std::string::npos);
+    // The earliest bad slot decides, whichever parts the bad slots fall in.
+    EXPECT_NE(build_with(edges, {{1, {7, 7}}, {edges - 1, {0, 5000}}}).find(kLoop),
+              std::string::npos);
+    EXPECT_NE(build_with(edges, {{1, {0, 5000}}, {edges - 1, {7, 7}}}).find(kRange),
+              std::string::npos);
+  }
+  // Slots in either orientation build the same graph as AddEdge.
+  GraphBuilder slots(4), added(4);
+  const std::span<Edge> fill = slots.AppendEdgeSlots(2);
+  fill[0] = {3, 1};
+  fill[1] = {0, 2};
+  added.AddEdge(1, 3);
+  added.AddEdge(0, 2);
+  const Graph a = std::move(slots).Build(), b = std::move(added).Build();
+  EXPECT_TRUE(std::ranges::equal(a.Adjacency(), b.Adjacency()));
+  EXPECT_TRUE(std::ranges::equal(a.RowOffsets(), b.RowOffsets()));
 }
 
 TEST(GraphBuilder, TinyAndIsolatedNodeCounts) {

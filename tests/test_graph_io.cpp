@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "radio/graph_generators.hpp"
 
@@ -93,6 +94,61 @@ TEST(GraphSpec, RejectsBadSpecs) {
   EXPECT_THROW(GraphFromSpec("path:n=x", rng), PreconditionError);
   EXPECT_THROW(GraphFromSpec("grid:rows=3", rng), PreconditionError);  // missing cols
   EXPECT_THROW(GraphFromSpec("er:n=5 p=1", rng), PreconditionError);   // not k=v
+}
+
+/// The message GraphFromSpec(spec) throws, or "" if it builds a graph.
+std::string SpecError(const std::string& spec) {
+  Rng rng(4);
+  try {
+    (void)GraphFromSpec(spec, rng);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Integer parameters and derived node counts that do not fit a NodeId are
+// rejected with "too large" instead of being truncated (er n = 2^32 + 2 used
+// to build a 2-node graph) or reaching an allocator or the builder.
+TEST(GraphSpec, OversizedNodeCountsAreRejected) {
+  for (const char* family : {"er:p=0.5,n=", "gnm:m=1,n=", "udg:r=0.1,n=", "path:n=",
+                             "cycle:n=", "star:n=", "complete:n=", "tree:n=",
+                             "ba:m=2,n=", "regular:d=2,n=", "matching:n=", "empty:n="}) {
+    const std::string message = SpecError(std::string(family) + "4294967298");
+    EXPECT_NE(message.find("too large"), std::string::npos) << family << ": " << message;
+  }
+}
+
+TEST(GraphSpec, OversizedBarabasiAlbertAttachmentIsRejected) {
+  // m = 2^32 + 1 used to run as m = 1.
+  EXPECT_NE(SpecError("ba:n=10,m=4294967297").find("too large"), std::string::npos);
+}
+
+TEST(GraphSpec, OversizedRegularDegreeIsRejected) {
+  EXPECT_NE(SpecError("regular:n=10,d=4294967299").find("too large"), std::string::npos);
+}
+
+TEST(GraphSpec, OversizedGridIsRejected) {
+  // 65537^2 > 2^32: used to wrap and fail in the builder as "node out of range".
+  EXPECT_NE(SpecError("grid:rows=65537,cols=65537").find("too large"), std::string::npos);
+  EXPECT_NE(SpecError("grid:rows=4294967296,cols=1").find("too large"), std::string::npos);
+}
+
+TEST(GraphSpec, OversizedCliquesAreRejected) {
+  // 65536 * 65537 > 2^32: used to wrap and end in std::bad_alloc.
+  EXPECT_NE(SpecError("cliques:count=65536,size=65537").find("too large"), std::string::npos);
+}
+
+TEST(GraphSpec, OversizedCaterpillarIsRejected) {
+  EXPECT_NE(SpecError("caterpillar:spine=65536,legs=65536").find("too large"),
+            std::string::npos);
+  EXPECT_NE(SpecError("caterpillar:spine=1,legs=4294967295").find("too large"),
+            std::string::npos);
+}
+
+TEST(GraphSpec, OversizedBipartiteIsRejected) {
+  EXPECT_NE(SpecError("bipartite:left=4294967295,right=1").find("too large"),
+            std::string::npos);
 }
 
 TEST(GraphSpec, DeterministicGivenRng) {

@@ -1340,10 +1340,29 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 ///                        join (pinned by test_residual_compaction's
 ///                        batch-vs-sequential property test and
 ///                        test_sharded_run's counters).
+///   edge_slots           the G(n, p) sampler's pending-edge slots
+///                        (radio/graph_generators.cpp): chunk c writes only
+///                        slots [c * kSamplerChunkDraws, (c + 1) * ...),
+///                        reserved in chunk order before the dispatch; all
+///                        draws stay on the caller.
+///   part_cursors /       GraphBuilder::Build's per-part row histograms
+///   csr_adjacency /      (turned cursors), the CSR it scatters into and
+///   deduped_degree       the per-row degrees a dedup build collapses to
+///                        (radio/graph.cpp). Part p counts and scatters
+///                        only its own slice of the pending edges and
+///                        touches only part_cursors[p]; the serial prefix
+///                        over (row, part) gives each part a disjoint range
+///                        of every row, so its csr_adjacency writes never
+///                        meet another part's, and each row keeps insertion
+///                        order. The row pass sorts, and records
+///                        deduped_degree for, only the rows of its own
+///                        edge-balanced range (pinned by test_generators'
+///                        CsrBytesArePinned and SameBytesInlineAndDispatched).
 inline const std::set<std::string, std::less<>>& ParallelWriteSanctioned() {
   static const std::set<std::string, std::less<>> kSanctioned = {
       "ctx_hot_", "ctx_cold_", "tx_buffers_", "shard_tx_count_",
-      "shard_listen_count_", "rows_", "adjacency_"};
+      "shard_listen_count_", "rows_", "adjacency_", "edge_slots",
+      "part_cursors", "csr_adjacency", "deduped_degree"};
   return kSanctioned;
 }
 
