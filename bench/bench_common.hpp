@@ -73,19 +73,6 @@ inline unsigned Jobs() {
   return par::DefaultJobs();
 }
 
-/// Channel resolution override for the benches' sweeps: the value of
-/// EMIS_BENCH_RESOLUTION (auto|push|pull) when set, else the config's own.
-/// A cost knob only — sweep points are bit-identical in every mode.
-inline ChannelResolution Resolution(ChannelResolution fallback) {
-  const char* env = std::getenv("EMIS_BENCH_RESOLUTION");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const ChannelResolution r = ChannelResolutionFromString(env);
-  EMIS_REQUIRE(r != kInvalidChannelResolution,
-               std::string("EMIS_BENCH_RESOLUTION must be auto, push or pull"
-                           " (got '") + env + "')");
-  return r;
-}
-
 /// Execution-engine override for the benches' sweeps: the value of
 /// EMIS_BENCH_ENGINE (coroutine|flat) when set, else the config's own. A
 /// cost knob only — sweep points are bit-identical under either engine
@@ -93,11 +80,7 @@ inline ChannelResolution Resolution(ChannelResolution fallback) {
 inline ExecutionEngine Engine(ExecutionEngine fallback) {
   const char* env = std::getenv("EMIS_BENCH_ENGINE");
   if (env == nullptr || env[0] == '\0') return fallback;
-  const ExecutionEngine e = ExecutionEngineFromString(env);
-  EMIS_REQUIRE(e != kInvalidExecutionEngine,
-               std::string("EMIS_BENCH_ENGINE must be coroutine or flat"
-                           " (got '") + env + "')");
-  return e;
+  return ParseExecutionEngine(env, "EMIS_BENCH_ENGINE");
 }
 
 /// Residual-compaction override for the benches' sweeps: the value of
@@ -135,12 +118,11 @@ struct TimedSweep {
 };
 
 /// Runs the sweep's trials across Jobs() threads, honouring the
-/// EMIS_BENCH_RESOLUTION override. The returned points are bit-identical to
-/// RunSweep(cfg)'s serial output (see experiment.hpp).
+/// EMIS_BENCH_COMPACTION / EMIS_BENCH_ENGINE overrides. The returned points
+/// are bit-identical to RunSweep(cfg)'s serial output (see experiment.hpp).
 inline TimedSweep RunTimedSweep(const SweepConfig& cfg) {
   TimedSweep out;
   SweepConfig directed = cfg;
-  directed.resolution = Resolution(cfg.resolution);
   directed.compaction = Compaction(cfg.compaction);
   directed.engine = Engine(cfg.engine);
   if (directed.metrics == nullptr) directed.metrics = BenchMetrics();

@@ -8,10 +8,11 @@
 //     the chan.edges_scanned cross-check: identical scan work proves the
 //     speedup is pure dispatch, not a different (cheaper) round schedule;
 //   * throughput — full RunMis at n = 2^20 (override with EMIS_BENCH_N) on
-//     a degree-256 G(n,p), push accounting, compaction on: the flat engine
-//     must sustain >= 1.8x coroutine throughput at the calibrated size
-//     (measured ~2x: adaptive physical resolution + the AVX2 word-scan
-//     kernel cut channel time ~3x, and the SoA lanes cut resume time; what
+//     a degree-256 G(n,p), compaction on: the flat engine must sustain
+//     >= 1.8x coroutine throughput at the calibrated size (measured ~2x
+//     when the coroutine side still resolved every round push-side; both
+//     engines now share one physical direction rule and the AVX2 word-scan
+//     kernel, so the SoA lanes' cheaper resumes carry the gap; what
 //     remains is random-access memory latency both engines share, which is
 //     why the original 5x target proved unreachable — see DESIGN.md 12.2);
 //     >= 1.15x at CI smoke sizes (n >= 2^14, where the working set still
@@ -59,12 +60,6 @@ TimedRun RunOnce(const Graph& g, MisAlgorithm algorithm, ExecutionEngine engine,
   cfg.algorithm = algorithm;
   cfg.seed = seed;
   cfg.engine = engine;
-  // Forced push pins the *accounted* schedule (chan.* metrics) for both
-  // engines; the flat engine may still physically resolve via the cheaper
-  // batched scan (Scheduler::PhysicalDirection), which is exactly the
-  // engineering the bench is measuring. Matches the committed-artifact
-  // condition.
-  cfg.resolution = ChannelResolution::kPush;
   cfg.metrics = &metrics;
   const auto start = std::chrono::steady_clock::now();
   const MisRunResult r = RunMis(g, cfg);
@@ -155,7 +150,7 @@ void CheckThroughput() {
                 std::to_string(flat.edges_scanned)});
   std::printf("%s",
               table.Render("RunMis(" + std::string(ToString(algorithm)) +
-                           ", push) on G(n=" + std::to_string(n) +
+                           ") on G(n=" + std::to_string(n) +
                            ", 256/n), coroutine vs flat").c_str());
   bench::Metrics().GetGauge("flat.speedup_x").Set(speedup);
   bench::Metrics().GetGauge("flat.coroutine_seconds").Set(coro.seconds);
@@ -209,7 +204,7 @@ void CheckCrossover() {
     table.AddRow({std::to_string(n), Fmt(coro.seconds, 3),
                   Fmt(flat.seconds, 3), Fmt(speedup, 2) + "x"});
   }
-  std::printf("%s", table.Render("E21 engine crossover: RunMis(cd, push) on "
+  std::printf("%s", table.Render("E21 engine crossover: RunMis(cd) on "
                                  "G(n, 64/n) per engine").c_str());
   bench::Verdict(speedups.back() >= 1.0,
                  "flat engine is at least as fast as coroutine at the "
@@ -272,7 +267,7 @@ void CheckWorkingSet() {
     bench::Metrics().GetGauge("e23.lane_bytes" + suffix).Set(flat.lane_bytes);
   }
   std::printf("%s", table.Render("E23 working-set trajectory: RunMis(cd, "
-                                 "push, flat) on G(n, 256/n) with mem.* "
+                                 "flat) on G(n, 256/n) with mem.* "
                                  "residency gauges").c_str());
   bench::Verdict(residency_ok,
                  "hot context stays >= 75% below the pre-split 128 B/node "
@@ -306,8 +301,7 @@ int main() {
   bench::Banner("E21 bench_flat_engine",
                 "Engineering: the flat SoA state-machine engine produces "
                 "bit-identical runs to the coroutine engine and sustains "
-                ">= 1.8x RunMis throughput at n = 2^20 (degree 256, push "
-                "accounting).");
+                ">= 1.8x RunMis throughput at n = 2^20 (degree 256).");
   CheckEquivalence();
   CheckThroughput();
   CheckCrossover();

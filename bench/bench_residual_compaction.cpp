@@ -15,9 +15,10 @@
 //     count exactly, and that the measured shrink sits inside the lemma
 //     envelopes;
 //   * throughput — full RunMis at n = 2^18 (override with EMIS_BENCH_N) on
-//     a degree-256 G(n,p), push-resolved (the transmitter-row scan path the
-//     residual overlay shortens): compaction on must sustain >= 2x the
-//     throughput of compaction off, with chan.edges_scanned showing why;
+//     a degree-256 G(n,p), under the scheduler's own direction rule (both
+//     directions scan the rows the residual overlay shortens): compaction
+//     on must sustain >= 2x the throughput of compaction off, with
+//     chan.edges_scanned showing why;
 //   * trajectory — a small timed sweep recorded into the JSON artifact so
 //     CI's BENCH_*.json series tracks the speedup over time.
 #include <chrono>
@@ -149,12 +150,6 @@ TimedRun RunOnce(const Graph& g, MisAlgorithm algorithm, bool compaction) {
   cfg.algorithm = algorithm;
   cfg.seed = 1;
   cfg.compaction = compaction;
-  // Forced push isolates the transmitter-row scan (AddTransmitter walks the
-  // sender's CSR row every transmission) — the path where dead seed entries
-  // cost the most. Auto resolution is the product default, but its per-round
-  // direction choice dodges part of the dead-row cost on its own, which
-  // would make this a benchmark of two optimizations at once.
-  cfg.resolution = ChannelResolution::kPush;
   cfg.metrics = &metrics;
   const auto start = std::chrono::steady_clock::now();
   const MisRunResult r = RunMis(g, cfg);
@@ -207,7 +202,7 @@ void CheckThroughput() {
                 std::to_string(off.edges_scanned)});
   std::printf("%s",
               table.Render("RunMis(" + std::string(ToString(algorithm)) +
-                           ", push) on G(n=" + std::to_string(n) +
+                           ") on G(n=" + std::to_string(n) +
                            ", 256/n), compaction on vs off").c_str());
   if (n >= (1u << 18)) {
     bench::Verdict(ratio >= 2.0,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
+#include "core/contracts.hpp"
 #include "core/delta_doubling.hpp"
 #include "core/flat_mis.hpp"
 #include "core/ghaffari_mis.hpp"
@@ -25,16 +27,22 @@ std::uint32_t EffectiveDelta(const Graph& graph, const MisRunConfig& config) {
 
 }  // namespace
 
-ExecutionEngine DefaultExecutionEngine() noexcept {
+ExecutionEngine ParseExecutionEngine(std::string_view text, std::string_view source) {
+  const ExecutionEngine engine = ExecutionEngineFromString(text);
+  EMIS_REQUIRE(engine != kInvalidExecutionEngine,
+               std::string(source) + " must be coroutine or flat (got '" +
+                   std::string(text) + "')");
+  return engine;
+}
+
+ExecutionEngine DefaultExecutionEngine() {
   static const ExecutionEngine engine = [] {
     // Read once under the static's init guard; the process never setenv()s,
-    // so the getenv cannot race a writer.
+    // so the getenv cannot race a writer. A throw leaves the static
+    // uninitialized, so every later call rethrows.
     const char* env = std::getenv("EMIS_ENGINE");  // NOLINT(concurrency-mt-unsafe)
-    if (env != nullptr) {
-      const ExecutionEngine parsed = ExecutionEngineFromString(env);
-      if (parsed != kInvalidExecutionEngine) return parsed;
-    }
-    return ExecutionEngine::kCoroutine;
+    if (env == nullptr || *env == '\0') return ExecutionEngine::kCoroutine;
+    return ParseExecutionEngine(env, "EMIS_ENGINE");
   }();
   return engine;
 }
@@ -104,7 +112,7 @@ MisRunResult RunMis(const Graph& graph, const MisRunConfig& config) {
       graph,
       {.model = ModelFor(config.algorithm), .max_rounds = config.max_rounds,
        .trace = config.trace, .link_loss = config.link_loss,
-       .resolution = config.resolution, .compaction = config.compaction,
+       .compaction = config.compaction,
        .metrics = config.metrics, .timeline = config.timeline,
        .ledger = config.ledger, .engine = config.engine,
        .telemetry = config.telemetry, .shards = config.shards},
@@ -195,6 +203,7 @@ MisRunResult RunMis(const Graph& graph, const MisRunConfig& config) {
   }
   result.energy = scheduler.Energy();
   result.arena = scheduler.ArenaStats();
+  result.shards = scheduler.Shards();
   result.report = CheckMis(graph, result.status);
   return result;
 }

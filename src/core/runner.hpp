@@ -66,11 +66,18 @@ constexpr std::string_view ToString(MisAlgorithm a) noexcept {
 /// Which constant preset to derive parameters from (see params.hpp).
 enum class ParamPreset : std::uint8_t { kPractical, kTheory };
 
-/// Process-wide default execution backend: ExecutionEngine::kCoroutine, or
-/// the value of the EMIS_ENGINE environment variable ("coroutine" / "flat")
-/// when set to a valid engine name. Read once and cached; lets a CI matrix
-/// run the whole test suite under either engine without touching call sites.
-ExecutionEngine DefaultExecutionEngine() noexcept;
+/// Parses an engine name ("coroutine" / "flat"); throws PreconditionError
+/// naming `source` (a flag or an environment variable) otherwise. Shared by
+/// `--engine` and EMIS_ENGINE.
+ExecutionEngine ParseExecutionEngine(std::string_view text, std::string_view source);
+
+/// Process-wide default execution backend: ExecutionEngine::kCoroutine when
+/// the EMIS_ENGINE environment variable is unset or empty, else its
+/// ParseExecutionEngine value — a set but invalid value throws
+/// PreconditionError rather than silently running on the default. Read once
+/// and cached; lets a CI matrix run the whole test suite under either engine
+/// without touching call sites.
+ExecutionEngine DefaultExecutionEngine();
 
 struct MisRunConfig {
   MisAlgorithm algorithm = MisAlgorithm::kCd;
@@ -80,9 +87,10 @@ struct MisRunConfig {
   /// Execution backend (cost knob only — both engines produce identical
   /// traces, energy profiles, and MIS decisions; see DESIGN.md §12).
   ExecutionEngine engine = DefaultExecutionEngine();
-  /// Intra-run shard count for the flat engine (cost knob only — observables
-  /// are bit-identical at any shard count; see SchedulerConfig::shards and
-  /// DESIGN.md §13). The coroutine engine always runs single-sharded.
+  /// Requested intra-run shard count for the flat engine (cost knob only —
+  /// observables are bit-identical at any shard count; see
+  /// SchedulerConfig::shards and DESIGN.md §13). MisRunResult::shards
+  /// reports the count that ran.
   unsigned shards = DefaultShards();
 
   /// Known upper bound on n given to the nodes (paper §1.1). 0 = use the
@@ -104,9 +112,6 @@ struct MisRunConfig {
   /// assumes a reliable channel). Combine with CdParams::repetitions to
   /// harden Algorithm 1 against it.
   double link_loss = 0.0;
-  /// Channel resolution direction (cost knob only — receptions and the MIS
-  /// are identical in every mode). See SchedulerConfig::resolution.
-  ChannelResolution resolution = ChannelResolution::kAuto;
   /// Residual-graph compaction (cost/memory knob only — receptions and the
   /// MIS are identical either way). See SchedulerConfig::compaction.
   bool compaction = true;
@@ -136,6 +141,9 @@ struct MisRunResult {
   MisReport report;
   /// Coroutine-frame arena footprint of the run's scheduler.
   FrameArena::Stats arena;
+  /// The shard count the run executed with (Scheduler::Shards()): the
+  /// requested count clamped to the node count, 1 for the coroutine engine.
+  unsigned shards = 1;
 
   bool Valid() const noexcept { return report.IsValidMis(); }
   std::uint64_t MisSize() const noexcept;

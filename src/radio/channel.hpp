@@ -11,14 +11,15 @@
 //   * kPull — AddTransmitter is O(1) (epoch-stamps a transmitter bitset +
 //     payload slot); ResolveListener scans the *listener's* CSR neighbor row
 //     against the bitset. Round cost O(Σ deg(listener)).
-// The scheduler picks per round via the degree-sum cost model (borrowing the
-// direction-optimizing idea from BFS engines), so round cost tracks
-// min(transmit-side work, listen-side work). BeginRound is O(1) either way.
+// The scheduler picks per round from the two degree sums (borrowing the
+// direction-optimizing idea from BFS engines; PhysicalDirection in
+// radio/scheduler.hpp), so round cost tracks the cheaper side's work.
+// BeginRound is O(1) either way.
 //
 // Fading (SetLoss) is counter-based: link (tx → rx) in round r is erased iff
 // CounterHashUnit(seed, r, tx, rx) < loss — a pure function of the tuple, no
 // stream state. Both directions therefore see byte-identical erasures, and
-// lossy sweeps stay bit-identical across job counts and resolution modes.
+// lossy sweeps stay bit-identical across job counts and directions.
 //
 // Residual compaction (AttachResidual): when a ResidualGraph overlay is
 // attached, both directions scan its live row prefixes instead of full CSR

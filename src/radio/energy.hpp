@@ -39,11 +39,11 @@ class EnergyMeter {
     ++total_listen_;
   }
 
-  // Sharded charging (radio/scheduler.cpp's parallel round passes): the
-  // per-node entries are disjoint across shards so the Local variants are
-  // safe to call concurrently, while the shared totals — which are plain
-  // sums, hence order-independent — are reconciled once per round on the
-  // scheduler thread via CommitShardTotals. Conservation is preserved
+  // Per-shard charging (radio/scheduler.cpp's round passes, at every shard
+  // count): the per-node entries are disjoint across shards so the Local
+  // variants are safe to call concurrently, while the shared totals — which
+  // are plain sums, hence order-independent — are reconciled once per round
+  // on the scheduler thread via CommitShardTotals. Conservation is preserved
   // exactly: Σ per-node entries == totals at every round boundary.
   void ChargeTransmitLocal(NodeId v) { ++per_node_[v].transmit_rounds; }
   void ChargeListenLocal(NodeId v) { ++per_node_[v].listen_rounds; }

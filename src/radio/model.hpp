@@ -32,41 +32,12 @@ constexpr std::string_view ToString(ChannelModel m) noexcept {
   return "?";
 }
 
-/// How the channel resolves a round's receptions (see radio/channel.hpp).
-/// Semantically invisible: every mode produces identical Receptions. The
-/// choice only moves *where* the per-round work lands:
+/// Which side of a round scans its CSR rows (see radio/channel.hpp).
+/// Semantically invisible: both produce identical Receptions; the choice
+/// only moves *where* the per-round work lands:
 ///   * push — each transmitter scans its neighbor row, cost O(Σ deg(tx));
-///   * pull — each listener scans its neighbor row, cost O(Σ deg(listen));
-///   * auto — per round, whichever side's degree sum is smaller.
-enum class ChannelResolution : std::uint8_t {
-  kAuto,  ///< per-round cost-model choice between push and pull
-  kPush,  ///< always transmitter-side (the classic delivery loop)
-  kPull,  ///< always listener-side (scan against the transmitter bitset)
-};
-
-constexpr std::string_view ToString(ChannelResolution r) noexcept {
-  switch (r) {
-    case ChannelResolution::kAuto: return "auto";
-    case ChannelResolution::kPush: return "push";
-    case ChannelResolution::kPull: return "pull";
-  }
-  return "?";
-}
-
-/// Parses "auto" / "push" / "pull"; anything else is kInvalid.
-/// (std::optional would drag <optional> into every model.hpp includer.)
-inline constexpr auto kInvalidChannelResolution =
-    static_cast<ChannelResolution>(0xFF);
-constexpr ChannelResolution ChannelResolutionFromString(
-    std::string_view s) noexcept {
-  if (s == "auto") return ChannelResolution::kAuto;
-  if (s == "push") return ChannelResolution::kPush;
-  if (s == "pull") return ChannelResolution::kPull;
-  return kInvalidChannelResolution;
-}
-
-/// The direction actually used for one resolved round (kAuto never reaches
-/// the channel; the scheduler's cost model lowers it to one of these).
+///   * pull — each listener scans its neighbor row, cost O(Σ deg(listen)).
+/// The scheduler picks per round (radio/scheduler.hpp PhysicalDirection).
 enum class ChannelDirection : std::uint8_t { kPush, kPull };
 
 /// What a listening node perceives in one round.

@@ -1,7 +1,10 @@
 #include "radio/scheduler.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <numeric>
+#include <string>
 
 #include "core/contracts.hpp"
 #include "obs/scoped_timer.hpp"
@@ -10,16 +13,24 @@
 
 namespace emis {
 
-unsigned DefaultShards() noexcept {
+unsigned ParseShards(std::string_view text, std::string_view source) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  EMIS_REQUIRE(ec == std::errc() && ptr == end && value >= 1 && value <= 256,
+               std::string(source) + " must be in [1, 256] (got '" +
+                   std::string(text) + "')");
+  return value;
+}
+
+unsigned DefaultShards() {
   static const unsigned shards = [] {
     // Read once under the static's init guard; the process never setenv()s,
-    // so the getenv cannot race a writer.
+    // so the getenv cannot race a writer. A throw leaves the static
+    // uninitialized, so every later call rethrows.
     const char* env = std::getenv("EMIS_SHARDS");  // NOLINT(concurrency-mt-unsafe)
     if (env == nullptr || *env == '\0') return 1u;
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || value == 0 || value > 256) return 1u;
-    return static_cast<unsigned>(value);
+    return ParseShards(env, "EMIS_SHARDS");
   }();
   return shards;
 }
@@ -41,6 +52,8 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     shards_ = std::min<unsigned>(config_.shards, graph.NumNodes());
     BuildShardCut();
   }
+  shard_tx_count_.assign(shards_, 0);
+  shard_listen_count_.assign(shards_, 0);
   if (config_.compaction) {
     residual_.emplace(graph, shards_);
     channel_.AttachResidual(&*residual_);
@@ -129,15 +142,9 @@ void Scheduler::Spawn(const ProtocolFactory& factory) {
   for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
     tasks_.push_back(factory(NodeApi(View(v))));
     EMIS_EXPECTS(tasks_.back().Valid(), "protocol factory returned an empty task");
+    ctx_cold_[v].resume_point = tasks_.back().RawHandle();
   }
-  // Start every protocol: run it to its first suspension (or completion) so
-  // it submits its action for round 0.
-  for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
-    ctx_hot_[v].now = 0;
-    ctx_cold_[v].resume_point = tasks_[v].RawHandle();
-    ResumeAndFile(v, actors_);
-  }
-  FlushRetires();
+  StartAll();
 }
 
 void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
@@ -148,26 +155,14 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
   spawned_ = true;
   flat_ = std::move(protocol);
   flat_lanes_ = flat_->Lanes();
-  // Step every machine to its first action (round 0), in node order —
-  // exactly where Spawn runs each coroutine to its first suspension. The
-  // steps are independent per node (each touches only its own lane), so the
-  // sharded path runs them on the pool and files serially afterwards.
-  const NodeId n = graph_->NumNodes();
-  if (ParallelStepEligible() && n >= kParallelMinNodes) {
-    par::ParallelFor(shards_, shards_, [this](std::uint64_t s, unsigned) {
-      for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
-        ctx_hot_[v].now = 0;
-        flat_->Step(v, View(v));
-      }
-    });
-    for (NodeId v = 0; v < n; ++v) FileAction(v, actors_, &shard_actors_);
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      ctx_hot_[v].now = 0;
-      ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
-    }
-  }
-  FlushRetires();
+  StartAll();
+}
+
+void Scheduler::StartAll() {
+  // Run every program to its first action (round 0), in node order.
+  std::vector<NodeId> all(graph_->NumNodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  StepAndFile(all, 0, nullptr);
 }
 
 void Scheduler::BuildShardCut() {
@@ -179,9 +174,7 @@ void Scheduler::BuildShardCut() {
     channel_.InitShardBuffer(tx_buffers_[s], shard_begin_[s], shard_begin_[s + 1]);
   }
   shard_actors_.assign(shards_, {});
-  next_shard_actors_.assign(shards_, {});
-  shard_tx_count_.assign(shards_, 0);
-  shard_listen_count_.assign(shards_, 0);
+  stepped_shards_.assign(shards_, {});
 }
 
 unsigned Scheduler::ShardOf(NodeId v) const noexcept {
@@ -223,25 +216,57 @@ void Scheduler::FlushRetires() {
   retire_batch_entries_ = 0;
 }
 
-void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                              std::vector<std::vector<NodeId>>* by_shard) {
+void Scheduler::AdvanceNode(NodeId v, Round round) {
+  HotNodeContext& hot = ctx_hot_[v];
+  EMIS_INVARIANT(hot.Pending() != ActionKind::kSleep || hot.WakeRound() == round,
+                 "missed a wake event");
+  hot.now = static_cast<std::uint32_t>(round);
   if (flat_ != nullptr) {
     flat_->Step(v, View(v));
-  } else {
-    // Sub-protocol frames spawned while the coroutine runs allocate from
-    // (and completed ones recycle into) this scheduler's arena.
-    const FrameArenaScope frames(&arena_);
-    ctx_cold_[v].resume_point.resume();
-    if (tasks_[v].Done()) {
-      tasks_[v].RethrowIfFailed();
-      ctx_hot_[v].MarkDone();
-    }
+    return;
   }
-  FileAction(v, actors, by_shard);
+  // Sub-protocol frames spawned while the coroutine runs allocate from
+  // (and completed ones recycle into) this scheduler's arena.
+  const FrameArenaScope frames(&arena_);
+  ctx_cold_[v].resume_point.resume();
+  if (tasks_[v].Done()) {
+    tasks_[v].RethrowIfFailed();
+    hot.MarkDone();
+  }
 }
 
-void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
-                           std::vector<std::vector<NodeId>>* by_shard) {
+void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round,
+                            const std::vector<std::vector<NodeId>>* slices) {
+  if (ParallelStepEligible() && batch.size() >= kParallelMinNodes) {
+    par::ParallelFor(shards_, shards_, [&](std::uint64_t s, unsigned) {
+      std::span<const NodeId> slice;
+      if (slices != nullptr) {
+        slice = (*slices)[s];
+      } else {
+        // A node-ascending batch splits at the shard cut's boundaries.
+        const auto begin =
+            std::lower_bound(batch.begin(), batch.end(), shard_begin_[s]);
+        const auto end =
+            std::lower_bound(begin, batch.end(), shard_begin_[s + 1]);
+        slice = {begin, end};
+      }
+      for (std::size_t i = 0; i < slice.size(); ++i) {
+        PrefetchResume(slice, i);
+        AdvanceNode(slice[i], round);
+      }
+    });
+    for (const NodeId v : batch) FileAction(v);
+  } else {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      PrefetchResume(batch, i);
+      AdvanceNode(batch[i], round);
+      FileAction(batch[i]);
+    }
+  }
+  FlushRetires();
+}
+
+void Scheduler::FileAction(NodeId v) {
   HotNodeContext& hot = ctx_hot_[v];
   if (hot.Done()) {
     ++finished_;
@@ -255,8 +280,8 @@ void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
     case ActionKind::kTransmit:
     case ActionKind::kListen:
       EMIS_INVARIANT(!hot.Retired(), "retired node submitted a radio action");
-      actors.push_back(v);
-      if (by_shard != nullptr) (*by_shard)[ShardOf(v)].push_back(v);
+      actors_.push_back(v);
+      if (Sharded()) shard_actors_[ShardOf(v)].push_back(v);
       break;
     case ActionKind::kSleep:
       EMIS_INVARIANT(hot.WakeRound() > hot.now, "sleep must advance time");
@@ -267,7 +292,7 @@ void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
   }
 }
 
-void Scheduler::PrefetchResume(const std::vector<NodeId>& nodes,
+void Scheduler::PrefetchResume(std::span<const NodeId> nodes,
                                std::size_t i) noexcept {
   if (i + 16 < nodes.size()) {
     const NodeId ahead = nodes[i + 16];
@@ -352,8 +377,7 @@ void Scheduler::MigrateOverflow() {
 
 ChannelDirection Scheduler::ChooseDirection() {
   // Live degrees when the residual overlay is on: as the residual shrinks,
-  // the cost model keeps tracking the work a direction will actually do,
-  // so auto direction choices improve over the run.
+  // both rules keep tracking the work a direction will actually do.
   std::uint64_t tx_edges = 0;
   std::uint64_t listen_edges = 0;
   for (NodeId v : actors_) {
@@ -367,163 +391,19 @@ ChannelDirection Scheduler::ChooseDirection() {
       listen_edges += cost;
     }
   }
-  round_tx_edges_ = tx_edges;
-  round_listen_edges_ = listen_edges;
-  const ChannelDirection dir =
-      ResolveDirection(config_.resolution, tx_edges, listen_edges);
   if (edges_scanned_ != nullptr) {
-    (dir == ChannelDirection::kPush ? push_rounds_ : pull_rounds_)->Inc();
-    edges_scanned_->Inc(dir == ChannelDirection::kPush ? tx_edges : listen_edges);
+    const bool push =
+        ResolveDirection(tx_edges, listen_edges) == ChannelDirection::kPush;
+    (push ? push_rounds_ : pull_rounds_)->Inc();
+    edges_scanned_->Inc(push ? tx_edges : listen_edges);
   }
-  return dir;
-}
-
-ChannelDirection Scheduler::PhysicalDirection(
-    ChannelDirection model_dir) const noexcept {
-  // Coroutine engine: physical == model, so the accounted cost is the paid
-  // cost. Lossy channels scan scalar either way (per-link draws), so the
-  // unweighted model is already right there too.
-  if (flat_ == nullptr || config_.link_loss > 0.0) return model_dir;
-  // Loss-free flat rounds: the pull scan runs the word-parallel kernel at
-  // roughly a quarter of push's per-edge cost (measured ~3.2 ns/edge vs
-  // ~14 ns/edge at bench sizes), so push only wins when the transmit side
-  // is ~4x smaller in edge volume.
-  return round_tx_edges_ * 4 < round_listen_edges_ ? ChannelDirection::kPush
-                                                   : ChannelDirection::kPull;
+  return PhysicalDirection(shards_, config_.link_loss > 0.0, tx_edges, listen_edges);
 }
 
 void Scheduler::ExecuteRound() {
   {
     const obs::ScopedTimer timing(execute_timer_);
-    channel_.BeginRound(PhysicalDirection(ChooseDirection()));
-    // Phase 1: register all transmissions. Touches only the hot array — a
-    // transmit's payload rides in the hot argument slot.
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      if (i + 8 < actors_.size()) {
-        __builtin_prefetch(&ctx_hot_[actors_[i + 8]], 0, 1);
-      }
-      const NodeId v = actors_[i];
-      const HotNodeContext& hot = ctx_hot_[v];
-      if (hot.Pending() == ActionKind::kTransmit) {
-        channel_.AddTransmitter(v, hot.Payload());
-        energy_.ChargeTransmit(v);
-        if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
-        if (config_.trace != nullptr) {
-          config_.trace->OnEvent({now_, v, ActionKind::kTransmit, hot.Payload(), {}});
-        }
-      }
-    }
-    // Phase 2: resolve receptions. Reads the hot flags, writes the cold
-    // reception slot — prefetch both ahead.
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      if (i + 8 < actors_.size()) {
-        const NodeId ahead = actors_[i + 8];
-        __builtin_prefetch(&ctx_hot_[ahead], 0, 1);
-        __builtin_prefetch(&ctx_cold_[ahead].last_reception, 1, 1);
-      }
-      const NodeId v = actors_[i];
-      if (ctx_hot_[v].Pending() == ActionKind::kListen) {
-        ctx_cold_[v].last_reception = channel_.ResolveListener(v);
-        energy_.ChargeListen(v);
-        if (config_.ledger != nullptr) config_.ledger->ChargeListen(v);
-        if (config_.trace != nullptr) {
-          config_.trace->OnEvent(
-              {now_, v, ActionKind::kListen, 0, ctx_cold_[v].last_reception});
-        }
-      }
-    }
-  }
-  node_rounds_ += actors_.size();
-  last_awake_round_ = now_;
-  any_awake_round_ = true;
-  if (rounds_executed_ != nullptr) rounds_executed_->Inc();
-  if (config_.telemetry != nullptr &&
-      now_ % std::max<Round>(config_.telemetry->HeartbeatEvery(), 1) == 0) {
-    EmitHeartbeat();
-  }
-
-  // Phase 3: resume actors so they submit their next action (for now_ + 1).
-  const obs::ScopedTimer timing(resume_timer_);
-  next_actors_.clear();
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    PrefetchResume(actors_, i);
-    const NodeId v = actors_[i];
-    ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-    ResumeAndFile(v, next_actors_);
-  }
-  FlushRetires();
-  actors_.swap(next_actors_);
-}
-
-void Scheduler::ShardTransmitPass(unsigned s) {
-  Channel::TxShardBuffer& buffer = tx_buffers_[s];
-  const std::vector<NodeId>& list = shard_actors_[s];
-  std::uint64_t transmits = 0;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (i + 8 < list.size()) {
-      __builtin_prefetch(&ctx_hot_[list[i + 8]], 0, 1);
-    }
-    const NodeId v = list[i];
-    const HotNodeContext& hot = ctx_hot_[v];
-    if (hot.Pending() != ActionKind::kTransmit) continue;
-    channel_.StampTransmitter(buffer, v, hot.Payload());
-    energy_.ChargeTransmitLocal(v);
-    if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
-    ++transmits;
-  }
-  shard_tx_count_[s] = transmits;
-}
-
-void Scheduler::ShardListenPass(unsigned s) {
-  const std::vector<NodeId>& list = shard_actors_[s];
-  std::uint64_t listens = 0;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (i + 8 < list.size()) {
-      const NodeId ahead = list[i + 8];
-      __builtin_prefetch(&ctx_hot_[ahead], 0, 1);
-      __builtin_prefetch(&ctx_cold_[ahead].last_reception, 1, 1);
-    }
-    const NodeId v = list[i];
-    if (ctx_hot_[v].Pending() != ActionKind::kListen) continue;
-    ctx_cold_[v].last_reception = channel_.ResolveListener(v);
-    energy_.ChargeListenLocal(v);
-    if (config_.ledger != nullptr) config_.ledger->ChargeListen(v);
-    ++listens;
-  }
-  shard_listen_count_[s] = listens;
-}
-
-void Scheduler::EmitRoundTrace() {
-  // Deferred serial trace pass in global actor order: all transmit events,
-  // then all listens — exactly the event order the unsharded two-phase loop
-  // emits, so trace goldens are shard-count-invariant.
-  for (const NodeId v : actors_) {
-    const HotNodeContext& hot = ctx_hot_[v];
-    if (hot.Pending() == ActionKind::kTransmit) {
-      config_.trace->OnEvent({now_, v, ActionKind::kTransmit, hot.Payload(), {}});
-    }
-  }
-  for (const NodeId v : actors_) {
-    if (ctx_hot_[v].Pending() == ActionKind::kListen) {
-      config_.trace->OnEvent(
-          {now_, v, ActionKind::kListen, 0, ctx_cold_[v].last_reception});
-    }
-  }
-}
-
-void Scheduler::ExecuteRoundSharded() {
-  {
-    const obs::ScopedTimer timing(execute_timer_);
-    // ChooseDirection still runs for its side effects — actor-round
-    // validation and the chan.* cost-model metrics — but sharded rounds
-    // always *resolve* pull-side: stamping is shard-local and the listener
-    // scan reads the merged bitset without touching other nodes' state.
-    // Unobservable, per the Channel reception contract (the same argument
-    // that lets PhysicalDirection substitute directions; lossy channels
-    // keep per-link draws keyed by (listener, round, neighbor), which are
-    // direction-free by construction).
-    ChooseDirection();
-    channel_.BeginRound(ChannelDirection::kPull);
+    channel_.BeginRound(ChooseDirection());
     // Pre-intern the ledger's (phase, sub) key so concurrent charges touch
     // only per-node cells (disjoint across shards), never the key table.
     if (config_.ledger != nullptr) config_.ledger->PrimeCurrentKey();
@@ -533,9 +413,11 @@ void Scheduler::ExecuteRoundSharded() {
     });
     // Word-wise OR-merge in fixed shard order into the epoch-stamped global
     // bitset; serial, so boundary words shared by two shards merge cleanly.
+    // One shard registered straight into the channel and has nothing to
+    // merge.
     std::uint64_t tx_total = 0;
     for (unsigned s = 0; s < shards_; ++s) {
-      merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
+      if (Sharded()) merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
       tx_total += shard_tx_count_[s];
     }
     par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
@@ -557,38 +439,73 @@ void Scheduler::ExecuteRoundSharded() {
     EmitHeartbeat();
   }
 
-  // Phase 3: parallel per-shard protocol steps, then a serial filing pass in
-  // global actor order — filing mutates cross-node state (finished_, the
-  // wheel, the retire batch's order) whose order the goldens pin — and the
-  // row-owner retire pass over the batch it collected. Timeline runs keep
-  // the serial reference resume (annotations mutate shared state inside
-  // Step).
+  // Resume the actors so they submit their next action (for now_ + 1),
+  // filing into the emptied actor lists.
   const obs::ScopedTimer timing(resume_timer_);
-  next_actors_.clear();
-  for (std::vector<NodeId>& list : next_shard_actors_) list.clear();
-  if (ParallelStepEligible()) {
-    par::ParallelFor(ShardJobs(actors_.size()), shards_,
-                     [this](std::uint64_t s, unsigned) {
-      const std::vector<NodeId>& list = shard_actors_[s];
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        PrefetchResume(list, i);
-        const NodeId v = list[i];
-        ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-        flat_->Step(v, View(v));
-      }
-    });
-    for (const NodeId v : actors_) FileAction(v, next_actors_, &next_shard_actors_);
-  } else {
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      PrefetchResume(actors_, i);
-      const NodeId v = actors_[i];
-      ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-      ResumeAndFile(v, next_actors_, &next_shard_actors_);
+  stepped_.swap(actors_);
+  actors_.clear();
+  stepped_shards_.swap(shard_actors_);
+  for (std::vector<NodeId>& list : shard_actors_) list.clear();
+  StepAndFile(stepped_, now_ + 1, &stepped_shards_);
+}
+
+void Scheduler::ShardTransmitPass(unsigned s) {
+  const std::vector<NodeId>& list = ShardActors(s);
+  std::uint64_t transmits = 0;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i + 8 < list.size()) {
+      __builtin_prefetch(&ctx_hot_[list[i + 8]], 0, 1);
+    }
+    const NodeId v = list[i];
+    const HotNodeContext& hot = ctx_hot_[v];
+    if (hot.Pending() != ActionKind::kTransmit) continue;
+    if (Sharded()) {
+      channel_.StampTransmitter(tx_buffers_[s], v, hot.Payload());
+    } else {
+      channel_.AddTransmitter(v, hot.Payload());
+    }
+    energy_.ChargeTransmitLocal(v);
+    if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
+    ++transmits;
+  }
+  shard_tx_count_[s] = transmits;
+}
+
+void Scheduler::ShardListenPass(unsigned s) {
+  const std::vector<NodeId>& list = ShardActors(s);
+  std::uint64_t listens = 0;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i + 8 < list.size()) {
+      const NodeId ahead = list[i + 8];
+      __builtin_prefetch(&ctx_hot_[ahead], 0, 1);
+      __builtin_prefetch(&ctx_cold_[ahead].last_reception, 1, 1);
+    }
+    const NodeId v = list[i];
+    if (ctx_hot_[v].Pending() != ActionKind::kListen) continue;
+    ctx_cold_[v].last_reception = channel_.ResolveListener(v);
+    energy_.ChargeListenLocal(v);
+    if (config_.ledger != nullptr) config_.ledger->ChargeListen(v);
+    ++listens;
+  }
+  shard_listen_count_[s] = listens;
+}
+
+void Scheduler::EmitRoundTrace() {
+  // Deferred serial trace pass in global actor order: all transmit events,
+  // then all listens — the two-phase order of the synchronous round, at
+  // every shard count, so trace goldens are shard-count-invariant.
+  for (const NodeId v : actors_) {
+    const HotNodeContext& hot = ctx_hot_[v];
+    if (hot.Pending() == ActionKind::kTransmit) {
+      config_.trace->OnEvent({now_, v, ActionKind::kTransmit, hot.Payload(), {}});
     }
   }
-  FlushRetires();
-  actors_.swap(next_actors_);
-  shard_actors_.swap(next_shard_actors_);
+  for (const NodeId v : actors_) {
+    if (ctx_hot_[v].Pending() == ActionKind::kListen) {
+      config_.trace->OnEvent(
+          {now_, v, ActionKind::kListen, 0, ctx_cold_[v].last_reception});
+    }
+  }
 }
 
 void Scheduler::EmitHeartbeat() {
@@ -652,45 +569,11 @@ RunStats Scheduler::RunUntil(Round limit) {
       std::sort(wake_scratch_.begin(), wake_scratch_.end());
       wheel_count_ -= wake_scratch_.size();
       if (wake_events_ != nullptr) wake_events_->Inc(wake_scratch_.size());
-      if (ParallelStepEligible() && wake_scratch_.size() >= kParallelMinNodes) {
-        // The sorted bucket partitions into contiguous per-shard segments;
-        // step them on the pool, then file serially in the same sorted
-        // (node-ascending) order the serial path uses.
-        par::ParallelFor(shards_, shards_, [this](std::uint64_t s, unsigned) {
-          const auto begin = std::lower_bound(wake_scratch_.begin(),
-                                              wake_scratch_.end(),
-                                              shard_begin_[s]);
-          const auto end = std::lower_bound(wake_scratch_.begin(),
-                                            wake_scratch_.end(),
-                                            shard_begin_[s + 1]);
-          for (auto it = begin; it != end; ++it) {
-            const NodeId v = *it;
-            EMIS_INVARIANT(ctx_hot_[v].WakeRound() == now_, "missed a wake event");
-            ctx_hot_[v].now = static_cast<std::uint32_t>(now_);
-            flat_->Step(v, View(v));
-          }
-        });
-        for (const NodeId v : wake_scratch_) {
-          FileAction(v, actors_, &shard_actors_);
-        }
-      } else {
-        for (std::size_t i = 0; i < wake_scratch_.size(); ++i) {
-          PrefetchResume(wake_scratch_, i);
-          const NodeId v = wake_scratch_[i];
-          EMIS_INVARIANT(ctx_hot_[v].WakeRound() == now_, "missed a wake event");
-          ctx_hot_[v].now = static_cast<std::uint32_t>(now_);
-          ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
-        }
-      }
-      FlushRetires();
+      StepAndFile(wake_scratch_, now_, nullptr);
     }
     if (actors_.empty()) continue;  // woken nodes all went back to sleep
 
-    if (Sharded()) {
-      ExecuteRoundSharded();
-    } else {
-      ExecuteRound();
-    }
+    ExecuteRound();
     ++now_;
   }
 

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "obs/energy_ledger.hpp"
@@ -33,11 +35,18 @@
 
 namespace emis {
 
-/// Process-wide default intra-run shard count: 1, or the value of the
-/// EMIS_SHARDS environment variable when set to a valid positive integer.
-/// Read once and cached; lets a CI matrix run the whole test suite sharded
-/// without touching call sites (the EMIS_ENGINE pattern).
-unsigned DefaultShards() noexcept;
+/// Parses a shard count: a decimal integer in [1, 256], nothing else.
+/// Throws PreconditionError naming `source` (a flag or an environment
+/// variable) otherwise. Shared by `--shards` and EMIS_SHARDS.
+unsigned ParseShards(std::string_view text, std::string_view source);
+
+/// Process-wide default intra-run shard count: 1 when the EMIS_SHARDS
+/// environment variable is unset or empty, else its ParseShards value — a
+/// set but invalid value throws PreconditionError rather than silently
+/// running on the default. Read once and cached; lets a CI matrix run the
+/// whole test suite sharded without touching call sites (the EMIS_ENGINE
+/// pattern).
+unsigned DefaultShards();
 
 struct SchedulerConfig {
   ChannelModel model = ChannelModel::kCd;
@@ -49,20 +58,15 @@ struct SchedulerConfig {
   /// Per-link per-round signal erasure probability (fading). 0 = the
   /// paper's reliable channel. See Channel::SetLoss.
   double link_loss = 0.0;
-  /// How the channel resolves receptions each round. kAuto picks per round
-  /// by the degree-sum cost model (Σ deg(transmitter) vs Σ deg(listener),
-  /// ties to push); kPush/kPull force one direction. Receptions are
-  /// identical in all three modes — this is purely a cost knob.
-  ChannelResolution resolution = ChannelResolution::kAuto;
   /// Residual-graph compaction: nodes that reach a terminal decision (via
   /// NodeApi::Retire / Scheduler::Retire, or simply by finishing their
   /// protocol) are dropped from channel scan rows, and a CSR row is
   /// compacted in place once half its entries are dead — per-round channel
-  /// cost then tracks *live* edges instead of seed edges, and the
-  /// ChooseDirection cost model sums live degrees. Receptions are
-  /// bit-identical with compaction on or off (retired nodes never act
-  /// again), so this is purely a cost/memory knob; off skips the adjacency
-  /// copy.
+  /// cost then tracks *live* edges instead of seed edges, and both direction
+  /// rules (ResolveDirection, PhysicalDirection) sum live degrees.
+  /// Receptions are bit-identical with compaction on or off (retired nodes
+  /// never act again), so this is purely a cost/memory knob; off skips the
+  /// adjacency copy.
   bool compaction = true;
   /// Optional metrics registry (owned by the caller). When set, the
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
@@ -101,36 +105,47 @@ struct SchedulerConfig {
   /// live-edge gauges, and — when `timeline` is also set — a `phase` event
   /// per closed span carrying the span's attribution delta.
   obs::StreamSink* telemetry = nullptr;
-  /// Intra-run shard count for the flat engine: the node range is cut into
-  /// `shards` contiguous, edge-balanced row ranges and each round's per-node
+  /// Requested intra-run shard count for the flat engine: the node range is
+  /// cut into contiguous, edge-balanced row ranges and each round's per-node
   /// work (protocol steps, channel stamping/scanning, energy charges) runs
   /// one shard per pool worker, with every cross-node mutation serialized in
   /// global actor order between the parallel passes (DESIGN.md §13). Purely
   /// a cost knob: traces, energy, metrics, receptions, and reports are
-  /// bit-identical at any shard count. The coroutine engine ignores it and
-  /// always runs single-sharded (it is the reference implementation).
+  /// bit-identical at any shard count. The scheduler clamps it to the node
+  /// count, and the coroutine engine (the reference implementation) always
+  /// runs one shard; Scheduler::Shards() reports the count in effect.
   unsigned shards = DefaultShards();
 };
 
-/// The per-round direction decision, factored out of the scheduler so the
-/// cost model is unit-testable in isolation: forced resolutions win
-/// unconditionally; kAuto resolves on the cheaper side with ties to push,
-/// whose per-edge work (stamped delivery) is slightly lighter than the
-/// pull-side scan. The edge sums are live degrees when compaction is on,
-/// static degrees otherwise.
-constexpr ChannelDirection ResolveDirection(ChannelResolution resolution,
-                                            std::uint64_t tx_edges,
+/// The degree-sum accounting model: the direction a round is *accounted*
+/// in, given its transmitters' and listeners' degree sums — the cheaper
+/// side, ties to push. It feeds the chan.push_rounds / chan.pull_rounds /
+/// chan.edges_scanned counters (and through them the baselines) and is not
+/// the scan the channel runs; PhysicalDirection picks that. The sums are
+/// live degrees when compaction is on, static degrees otherwise.
+constexpr ChannelDirection ResolveDirection(std::uint64_t tx_edges,
                                             std::uint64_t listen_edges) noexcept {
-  switch (resolution) {
-    case ChannelResolution::kPush:
-      return ChannelDirection::kPush;
-    case ChannelResolution::kPull:
-      return ChannelDirection::kPull;
-    case ChannelResolution::kAuto:
-      break;
-  }
   return listen_edges < tx_edges ? ChannelDirection::kPull
                                  : ChannelDirection::kPush;
+}
+
+/// The direction the channel physically resolves a round in, over the same
+/// degree sums. Receptions are byte-identical in both directions (Channel's
+/// contract), so this rule moves cost only:
+///   * more than one shard: pull — stamping is shard-local and the listener
+///     scan reads the merged bitset without touching other nodes' state;
+///   * a lossy channel: the accounting model's choice — both directions
+///     scan scalar there (per-link erasure draws), so 1:1 is the real ratio;
+///   * otherwise: push iff 4 · tx_edges < listen_edges — the pull side's
+///     word-parallel scan costs roughly a quarter of push's scattered
+///     per-neighbor deliveries per edge (~3.2 vs ~14 ns/edge at bench sizes).
+constexpr ChannelDirection PhysicalDirection(unsigned shards, bool lossy,
+                                             std::uint64_t tx_edges,
+                                             std::uint64_t listen_edges) noexcept {
+  if (shards > 1) return ChannelDirection::kPull;
+  if (lossy) return ResolveDirection(tx_edges, listen_edges);
+  return tx_edges * 4 < listen_edges ? ChannelDirection::kPush
+                                     : ChannelDirection::kPull;
 }
 
 struct RunStats {
@@ -183,6 +198,9 @@ class Scheduler {
 
   bool AllFinished() const noexcept { return finished_ == graph_->NumNodes(); }
   Round Now() const noexcept { return now_; }
+  /// The shard count in effect: config.shards clamped to the node count for
+  /// the flat engine, 1 for the coroutine engine.
+  unsigned Shards() const noexcept { return shards_; }
   const EnergyMeter& Energy() const noexcept { return energy_; }
   const Graph& Topology() const noexcept { return *graph_; }
 
@@ -200,22 +218,32 @@ class Scheduler {
   static constexpr std::size_t kWheelSize = 4096;
 
  private:
-  /// Advances node v's program to its next suspension — resuming its
-  /// coroutine or stepping its flat lane, per config.engine — and files
-  /// the submitted action via FileAction. `by_shard` mirrors radio actions
-  /// into per-shard actor lists when the run is sharded.
-  void ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                     std::vector<std::vector<NodeId>>* by_shard = nullptr);
+  /// Advances node v's program to its next suspension at `round` — resuming
+  /// its coroutine or stepping its flat lane, per config.engine. Touches
+  /// only v's own context, lane and RNG stream, so calls for distinct nodes
+  /// may run concurrently (flat engine). A node stepped out of sleep must be
+  /// due exactly at `round`.
+  void AdvanceNode(NodeId v, Round round);
 
-  /// Files node v's already-computed action: into `actors` (and the shard
-  /// mirror) if it acts in round ctx.now, into the wake wheel if it sleeps;
-  /// detects completion and marks retirement. Split from ResumeAndFile so
-  /// sharded rounds can step nodes in parallel and then file serially in
-  /// global actor order — filing mutates cross-node state (finished_, the
-  /// wheel, the order of the retire batch), whose mutation order the
-  /// trace/report goldens pin.
-  void FileAction(NodeId v, std::vector<NodeId>& actors,
-                  std::vector<std::vector<NodeId>>* by_shard);
+  /// The one step-then-file pass (spawn, wake drain, round resume): advances
+  /// every node of `batch` to `round`, then files each in batch order and
+  /// flushes the pass's retire batch. Steps run per shard on the pool when
+  /// ParallelStepEligible() and the batch reaches kParallelMinNodes, inline
+  /// (interleaved with filing) otherwise. `slices` are the batch's per-shard
+  /// sub-lists for the pool; null when the batch is node-ascending, which
+  /// the shard cut then slices directly.
+  void StepAndFile(std::span<const NodeId> batch, Round round,
+                   const std::vector<std::vector<NodeId>>* slices);
+  /// Spawn's and SpawnFlat's common tail: StepAndFile of every node, in
+  /// node order, to its first action (round 0).
+  void StartAll();
+
+  /// Files node v's computed action: into actors_ (and its shard's list)
+  /// if it acts in round ctx.now, into the wake wheel if it sleeps; detects
+  /// completion and marks retirement. Always serial, in batch order —
+  /// filing mutates cross-node state (finished_, the wheel, the order of
+  /// the retire batch), whose mutation order the trace/report goldens pin.
+  void FileAction(NodeId v);
 
   /// Issues prefetches for upcoming resumes in a batch: position i + 16
   /// pulls the node's hot context line (ctx_hot_ is 16 B/node — four nodes
@@ -225,7 +253,7 @@ class Scheduler {
   /// resume_point to the coroutine-frame header the resume call loads
   /// first. Hides the dependent LLC misses that otherwise dominate per-wake
   /// cost on large graphs.
-  void PrefetchResume(const std::vector<NodeId>& nodes, std::size_t i) noexcept;
+  void PrefetchResume(std::span<const NodeId> nodes, std::size_t i) noexcept;
 
   /// Marks v retired (idempotent) and, with compaction on, appends it to the
   /// current filing pass's retire batch. The residual overlay is untouched
@@ -238,27 +266,23 @@ class Scheduler {
   /// ResidualGraph::kParallelMinEntries, over one inline range otherwise.
   void FlushRetires();
 
-  /// Executes the current round for `actors_` (channel + energy + trace),
-  /// then resumes the actors to collect their next actions.
+  /// The round, for every engine and shard count (one shard is the inline
+  /// case): ChooseDirection → BeginRound → per-shard transmit pass → merge
+  /// of the shard bitsets in fixed shard order → per-shard listen pass →
+  /// CommitShardTotals → deferred trace → heartbeat → StepAndFile of the
+  /// actors for the next round. Every observable commits serially in global
+  /// actor order, so all of them are bit-identical at any shard count
+  /// (DESIGN.md §13).
   void ExecuteRound();
 
-  /// The sharded counterpart of ExecuteRound (flat engine, shards_ > 1).
-  /// Three deterministic steps per round: (1) a parallel per-shard action
-  /// pass stamps transmitters into shard-local bitsets and charges energy
-  /// locally, (2) the shard buffers are OR-merged word-wise into the
-  /// channel's epoch-stamped global bitset in fixed shard order, (3) a
-  /// parallel per-shard listener pass resolves receptions via the read-only
-  /// word-scan kernels. Trace events, energy totals, and actor filing are
-  /// then replayed serially in global actor order, so every observable is
-  /// bit-identical to the unsharded round (DESIGN.md §13).
-  void ExecuteRoundSharded();
-
-  /// Step (1): shard s's transmitter stamping + local energy charges.
+  /// Shard s's transmitters: registered with the channel (AddTransmitter at
+  /// one shard, StampTransmitter into the shard's buffer when sharded) and
+  /// charged to the per-node energy cells.
   void ShardTransmitPass(unsigned s);
-  /// Step (3): shard s's reception resolution + local energy charges.
+  /// Shard s's listeners: receptions resolved and energy charged locally.
   void ShardListenPass(unsigned s);
-  /// Deferred serial trace pass reproducing the unsharded two-phase event
-  /// order: all transmits in actor order, then all listens.
+  /// Deferred serial trace pass in global actor order: all transmits, then
+  /// all listens.
   void EmitRoundTrace();
   /// Edge-balanced contiguous node cut (EdgeBalancedCut); also sizes the
   /// per-shard actor lists and transmit buffers.
@@ -266,6 +290,10 @@ class Scheduler {
   /// The shard owning node v under the current cut.
   unsigned ShardOf(NodeId v) const noexcept;
   bool Sharded() const noexcept { return shards_ > 1; }
+  /// Shard s's actors this round: actors_ itself at one shard.
+  const std::vector<NodeId>& ShardActors(unsigned s) const noexcept {
+    return Sharded() ? shard_actors_[s] : actors_;
+  }
   /// Whether per-node protocol steps may run in parallel: sharded and no
   /// timeline (phase annotations mutate the shared timeline inside Step, so
   /// annotated runs keep the serial reference path for the resume pass —
@@ -285,23 +313,11 @@ class Scheduler {
     return work_items >= kParallelMinNodes ? shards_ : 1;
   }
 
-  /// Degree-sum cost model: the direction this round resolves in, given the
-  /// pending actions of `actors_`. Also validates actor rounds and feeds the
-  /// chan.* counters. Leaves the round's edge sums in round_tx_edges_ /
-  /// round_listen_edges_ for PhysicalDirection.
+  /// Sums the live degrees of the round's transmitters and listeners, feeds
+  /// the chan.* counters from the ResolveDirection accounting model, and
+  /// returns the PhysicalDirection the channel resolves in. Also validates
+  /// actor rounds.
   ChannelDirection ChooseDirection();
-
-  /// The direction the channel *physically* resolves in this round. For the
-  /// coroutine engine this is the cost-model direction unchanged. The flat
-  /// engine may substitute the cheaper pass: the pull-side word scan (an
-  /// AVX2/word-parallel sweep over the transmitter bitset) costs ~4x less
-  /// per edge than push's scattered per-neighbor deliveries, so a forced or
-  /// model push round with a large transmit side resolves faster as a pull
-  /// scan. Receptions are byte-identical in both directions (Channel's
-  /// documented contract, pinned by tests), and every chan.* metric is
-  /// recorded from the cost-model direction in ChooseDirection — so this is
-  /// unobservable in traces, energy, metrics, and reports.
-  ChannelDirection PhysicalDirection(ChannelDirection model_dir) const noexcept;
 
   const Graph* graph_;
   SchedulerConfig config_;
@@ -335,14 +351,13 @@ class Scheduler {
   std::unique_ptr<FlatProtocol> flat_;
   // Cached at SpawnFlat so the prefetch path pays no virtual call.
   FlatProtocol::LaneLayout flat_lanes_;
-  // Edge sums of the current round's actors, written by ChooseDirection and
-  // consumed by PhysicalDirection.
-  std::uint64_t round_tx_edges_ = 0;
-  std::uint64_t round_listen_edges_ = 0;
 
   // Nodes acting (transmit/listen) in round now_.
   std::vector<NodeId> actors_;
-  std::vector<NodeId> next_actors_;  // scratch, swapped each round
+  // The executed round's actors, swapped out of actors_ (and shard_actors_)
+  // while StepAndFile files their next actions into the emptied lists.
+  std::vector<NodeId> stepped_;
+  std::vector<std::vector<NodeId>> stepped_shards_;
 
   // Intra-run sharding (flat engine only; engaged by the constructor when
   // config.shards > 1). shard_begin_ holds the contiguous node cut
@@ -351,10 +366,9 @@ class Scheduler {
   unsigned shards_ = 1;
   std::vector<NodeId> shard_begin_;
   std::vector<std::vector<NodeId>> shard_actors_;
-  std::vector<std::vector<NodeId>> next_shard_actors_;
   std::vector<Channel::TxShardBuffer> tx_buffers_;
-  // Per-shard charge tallies from the parallel passes, summed serially into
-  // the EnergyMeter totals once per round.
+  // Per-shard charge tallies from the round passes (one entry at one
+  // shard), summed serially into the EnergyMeter totals once per round.
   std::vector<std::uint64_t> shard_tx_count_;
   std::vector<std::uint64_t> shard_listen_count_;
   std::uint64_t merge_words_ = 0;  ///< words OR-merged across all rounds

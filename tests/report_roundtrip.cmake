@@ -17,23 +17,6 @@ foreach(alg cd nocd)
   endif()
 endforeach()
 
-# Pull-resolution round-trip: the --resolution knob must thread through the
-# run pipeline and still emit a conforming document (with the alloc section).
-set(pull_report "${WORK_DIR}/report_cd_pull.json")
-execute_process(
-  COMMAND ${EMIS_CLI} run --graph er:n=96,p=0.06 --alg cd --seed 2
-          --resolution pull --report-out ${pull_report} --quiet
-  RESULT_VARIABLE pull_rc)
-if(NOT pull_rc EQUAL 0)
-  message(FATAL_ERROR "emis_cli run --resolution pull failed (rc=${pull_rc})")
-endif()
-execute_process(
-  COMMAND ${EMIS_CLI} validate-report ${pull_report}
-  RESULT_VARIABLE pull_validate_rc)
-if(NOT pull_validate_rc EQUAL 0)
-  message(FATAL_ERROR "validate-report rejected ${pull_report} (rc=${pull_validate_rc})")
-endif()
-
 # Sweep round-trip on the parallel path: the emitted emis-bench-report/1
 # document (with jobs/wall_seconds execution facts) must validate too.
 set(sweep_report "${WORK_DIR}/report_sweep.json")

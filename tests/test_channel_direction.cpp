@@ -2,13 +2,11 @@
 // implementations of the same radio semantics. Properties checked here:
 //   * push/pull reception equivalence on random graphs, transmitter sets,
 //     models, and loss rates (the tentpole invariant);
-//   * RunMis produces identical MIS outputs and energy under kPush, kPull
-//     and kAuto, reliable and lossy;
 //   * the counter-based fading stream is pinned against golden values, so
 //     an accidental reseeding or hash change fails loudly;
 //   * double transmitter registration throws instead of double-delivering;
-//   * the scheduler's cost model picks the cheap side and feeds the chan.*
-//     counters, and its frame arena reaches a pooled steady state.
+//   * the scheduler's accounting model picks the cheap side and feeds the
+//     chan.* counters, and its frame arena reaches a pooled steady state.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -139,98 +137,11 @@ TEST(CounterHashGolden, LinkErasedPattern) {
             Channel::LinkErased(3, 2, 5, 9, 0.3));
 }
 
-// --- end-to-end equivalence across resolution modes -------------------------
-
-MisRunResult RunWith(const Graph& g, MisAlgorithm alg, ChannelResolution res,
-                     double loss) {
-  return RunMis(g, {.algorithm = alg, .seed = 31, .link_loss = loss,
-                    .resolution = res});
-}
-
-TEST(ResolutionEquivalence, IdenticalMisAcrossModes) {
-  Rng rng(17);
-  const Graph g = gen::ErdosRenyi(96, 0.08, rng);
-  for (MisAlgorithm alg :
-       {MisAlgorithm::kCd, MisAlgorithm::kCdBeeping, MisAlgorithm::kNoCd}) {
-    for (double loss : {0.0, 0.3}) {
-      const MisRunResult push = RunWith(g, alg, ChannelResolution::kPush, loss);
-      const MisRunResult pull = RunWith(g, alg, ChannelResolution::kPull, loss);
-      const MisRunResult aut = RunWith(g, alg, ChannelResolution::kAuto, loss);
-      // Identical receptions => identical protocol behaviour: same MIS, same
-      // rounds, same per-node energy.
-      EXPECT_EQ(push.status, pull.status)
-          << ToString(alg) << " loss " << loss;
-      EXPECT_EQ(push.status, aut.status) << ToString(alg) << " loss " << loss;
-      EXPECT_EQ(push.stats.rounds_used, pull.stats.rounds_used);
-      EXPECT_EQ(push.stats.node_rounds, pull.stats.node_rounds);
-      EXPECT_EQ(push.energy.TotalAwake(), pull.energy.TotalAwake());
-      EXPECT_EQ(push.energy.TotalAwake(), aut.energy.TotalAwake());
-      // Unhardened algorithms may emit a broken MIS under heavy fading (see
-      // test_lossy_channel for the hardened variants) — but they must break
-      // *identically* in every resolution mode, which is what the EQ checks
-      // above pin. Validity itself is only guaranteed on the reliable
-      // channel.
-      if (loss == 0.0) {
-        EXPECT_TRUE(push.Valid());
-      }
-    }
-  }
-}
-
 // --- scheduler integration --------------------------------------------------
-
-/// Star-shaped round: the hub transmits, every leaf listens. Pull scans only
-/// the leaves' degree-1 rows; push scans the hub's (n-1)-row. kAuto must
-/// pick push here only when listeners outweigh the hub... i.e. it picks by
-/// the sums, which this test pins via the counters.
-TEST(SchedulerResolution, CountersTrackForcedDirections) {
-  Rng rng(5);
-  const Graph g = gen::ErdosRenyi(64, 0.1, rng);
-  for (ChannelResolution res :
-       {ChannelResolution::kPush, ChannelResolution::kPull}) {
-    obs::MetricsRegistry metrics;
-    const MisRunResult r = RunMis(
-        g, {.algorithm = MisAlgorithm::kCd, .seed = 8, .resolution = res,
-            .metrics = &metrics});
-    ASSERT_TRUE(r.Valid());
-    const std::uint64_t push_rounds =
-        metrics.GetCounter("chan.push_rounds").Value();
-    const std::uint64_t pull_rounds =
-        metrics.GetCounter("chan.pull_rounds").Value();
-    const std::uint64_t executed =
-        metrics.GetCounter("sched.rounds_executed").Value();
-    EXPECT_GT(executed, 0u);
-    if (res == ChannelResolution::kPush) {
-      EXPECT_EQ(push_rounds, executed);
-      EXPECT_EQ(pull_rounds, 0u);
-    } else {
-      EXPECT_EQ(pull_rounds, executed);
-      EXPECT_EQ(push_rounds, 0u);
-    }
-    EXPECT_GT(metrics.GetCounter("chan.edges_scanned").Value(), 0u);
-  }
-}
-
-TEST(SchedulerResolution, AutoScansNoMoreEdgesThanEitherForcedMode) {
-  // The per-round min over {push cost, pull cost} is <= either forced total.
-  Rng rng(23);
-  const Graph g = gen::ErdosRenyi(128, 0.1, rng);
-  auto scanned = [&](ChannelResolution res) {
-    obs::MetricsRegistry metrics;
-    const MisRunResult r = RunMis(
-        g, {.algorithm = MisAlgorithm::kCd, .seed = 4, .resolution = res,
-            .metrics = &metrics});
-    EXPECT_TRUE(r.Valid());
-    return metrics.GetCounter("chan.edges_scanned").Value();
-  };
-  const std::uint64_t auto_edges = scanned(ChannelResolution::kAuto);
-  EXPECT_LE(auto_edges, scanned(ChannelResolution::kPush));
-  EXPECT_LE(auto_edges, scanned(ChannelResolution::kPull));
-}
 
 TEST(SchedulerResolution, AutoPullsWhenListenersAreCheap) {
   // Star, hub transmits once, one leaf listens: Σdeg(listen) = 1 beats
-  // Σdeg(tx) = n - 1, so the auto round must resolve pull-side. Compaction
+  // Σdeg(tx) = n - 1, so the round must be accounted pull-side. Compaction
   // off pins the static-degree cost model: with it on, the 62 idle leaves
   // retire at spawn and the live-degree sums tie (see
   // test_residual_compaction.cpp's LiveDegreeCostModel).

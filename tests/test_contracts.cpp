@@ -112,14 +112,13 @@ TEST(ChannelEpochInvariant, UncorruptedChannelFiresNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Audit-mode smoke matrix: representative configs across the algorithm,
-// loss and resolution axes must complete with zero contract firings — the
+// Audit-mode smoke matrix: representative configs across the algorithm
+// and loss axes must complete with zero contract firings — the
 // contracts describe the code, they don't flag healthy runs.
 
 struct SmokeCase {
   MisAlgorithm algorithm;
   double link_loss;
-  ChannelResolution resolution;
 };
 
 class AuditSmoke : public ::testing::TestWithParam<SmokeCase> {};
@@ -133,7 +132,6 @@ TEST_P(AuditSmoke, RunsWithZeroContractFirings) {
   config.algorithm = c.algorithm;
   config.seed = 11;
   config.link_loss = c.link_loss;
-  config.resolution = c.resolution;
   const MisRunResult result = RunMis(g, config);
   // Lossy channels may legitimately leave the MIS incomplete at smoke sizes;
   // the contract question is only whether healthy code paths fire checks.
@@ -147,12 +145,12 @@ TEST_P(AuditSmoke, RunsWithZeroContractFirings) {
 INSTANTIATE_TEST_SUITE_P(
     AlgorithmMatrix, AuditSmoke,
     ::testing::Values(
-        SmokeCase{MisAlgorithm::kCd, 0.0, ChannelResolution::kAuto},
-        SmokeCase{MisAlgorithm::kCdBeeping, 0.0, ChannelResolution::kPull},
-        SmokeCase{MisAlgorithm::kNoCd, 0.0, ChannelResolution::kPush},
-        SmokeCase{MisAlgorithm::kNoCdUnknownDelta, 0.0, ChannelResolution::kAuto},
-        SmokeCase{MisAlgorithm::kCd, 0.1, ChannelResolution::kAuto},
-        SmokeCase{MisAlgorithm::kNoCdRoundEfficient, 0.0, ChannelResolution::kAuto}));
+        SmokeCase{MisAlgorithm::kCd, 0.0},
+        SmokeCase{MisAlgorithm::kCdBeeping, 0.0},
+        SmokeCase{MisAlgorithm::kNoCd, 0.0},
+        SmokeCase{MisAlgorithm::kNoCdUnknownDelta, 0.0},
+        SmokeCase{MisAlgorithm::kCd, 0.1},
+        SmokeCase{MisAlgorithm::kNoCdRoundEfficient, 0.0}));
 
 }  // namespace
 }  // namespace emis

@@ -2,7 +2,7 @@
 // observationally identical to the coroutine reference. Properties checked:
 //   * RunMis fingerprints (decisions, rounds, energy totals, full trace
 //     hash) match the coroutine engine for every MIS core across
-//     loss {0, 0.1} x resolution {auto, push, pull} x compaction {on, off};
+//     loss {0, 0.1} x compaction {on, off};
 //   * the algorithms outside the 5-core matrix (beeping, naive no-CD Luby,
 //     unknown-Δ doubling) match on a representative config each;
 //   * the flat engine reproduces the *pinned* golden trace hashes of
@@ -74,7 +74,7 @@ struct RunFingerprint {
 
 RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
                            MisAlgorithm algorithm, double loss,
-                           ChannelResolution resolution, bool compaction) {
+                           bool compaction) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
@@ -82,7 +82,6 @@ RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
   cfg.engine = engine;
   cfg.trace = &trace;
   cfg.link_loss = loss;
-  cfg.resolution = resolution;
   cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
@@ -102,19 +101,13 @@ TEST(FlatEngine, MatchesCoroutineAcrossCoreMatrix) {
   const Graph g = gen::ErdosRenyi(64, 0.1, rng);
   for (MisAlgorithm algorithm : kCores) {
     for (double loss : {0.0, 0.1}) {
-      for (ChannelResolution resolution :
-           {ChannelResolution::kAuto, ChannelResolution::kPush,
-            ChannelResolution::kPull}) {
-        for (bool compaction : {true, false}) {
-          const RunFingerprint reference =
-              Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss,
-                          resolution, compaction);
-          const RunFingerprint flat = Fingerprint(
-              g, ExecutionEngine::kFlat, algorithm, loss, resolution, compaction);
-          EXPECT_EQ(flat, reference)
-              << ToString(algorithm) << " loss " << loss << " resolution "
-              << static_cast<int>(resolution) << " compaction " << compaction;
-        }
+      for (bool compaction : {true, false}) {
+        const RunFingerprint reference = Fingerprint(
+            g, ExecutionEngine::kCoroutine, algorithm, loss, compaction);
+        const RunFingerprint flat =
+            Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss, compaction);
+        EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss
+                                   << " compaction " << compaction;
       }
     }
   }
@@ -128,11 +121,9 @@ TEST(FlatEngine, MatchesCoroutineOnRemainingAlgorithms) {
         MisAlgorithm::kNoCdUnknownDelta}) {
     for (double loss : {0.0, 0.1}) {
       const RunFingerprint reference =
-          Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss,
-                      ChannelResolution::kAuto, true);
+          Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss, true);
       const RunFingerprint flat =
-          Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss,
-                      ChannelResolution::kAuto, true);
+          Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss, true);
       EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss;
     }
   }
@@ -143,15 +134,12 @@ TEST(FlatEngine, ReproducesPinnedGoldenTraceHashes) {
   // engine: the flat backend must reproduce the frozen behavior exactly.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
-  const RunFingerprint cd = Fingerprint(g, ExecutionEngine::kFlat,
-                                        MisAlgorithm::kCd, 0.0,
-                                        ChannelResolution::kAuto, true);
-  const RunFingerprint cd_lossy = Fingerprint(g, ExecutionEngine::kFlat,
-                                              MisAlgorithm::kCd, 0.3,
-                                              ChannelResolution::kAuto, true);
-  const RunFingerprint nocd = Fingerprint(g, ExecutionEngine::kFlat,
-                                          MisAlgorithm::kNoCd, 0.0,
-                                          ChannelResolution::kAuto, true);
+  const RunFingerprint cd =
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.0, true);
+  const RunFingerprint cd_lossy =
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.3, true);
+  const RunFingerprint nocd =
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kNoCd, 0.0, true);
   EXPECT_EQ(cd.trace_hash, 0xB54A7384D88D1E30ULL);
   EXPECT_EQ(cd_lossy.trace_hash, 0x0FA217956D3014ABULL);
   EXPECT_EQ(nocd.trace_hash, 0xE8D014E39E2297D4ULL);

@@ -114,7 +114,9 @@ TEST(Fuzz, EnginesAgreeOnRandomConfigurations) {
     cfg.seed = fuzz.NextU64();
     if (fuzz.Bernoulli(0.3)) cfg.link_loss = 0.1;
     if (fuzz.Bernoulli(0.3)) cfg.compaction = false;
-    if (fuzz.Bernoulli(0.3)) cfg.resolution = ChannelResolution::kPush;
+    // Sharding applies to the flat leg only; the coroutine engine runs one
+    // shard whatever is requested.
+    if (fuzz.Bernoulli(0.3)) cfg.shards = 4;
 
     Rng rng_a(graph_seed), rng_b(graph_seed);
     const Graph ga = GraphFromSpec(spec, rng_a);

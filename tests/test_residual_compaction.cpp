@@ -8,13 +8,15 @@
 //     random batches, random row-owner cuts of 1-8 parts (empty parts
 //     included) and 1 or 4 jobs, every row's counters, every live scan row
 //     and the order-dependent compaction counters agree exactly;
-//   * ResolveDirection in isolation — forced overrides win, kAuto takes the
-//     strictly cheaper side and breaks ties toward push;
+//   * ResolveDirection (the accounting model) in isolation — it takes the
+//     strictly cheaper side and breaks ties toward push — and
+//     PhysicalDirection (the scan the channel runs): pull when sharded, the
+//     accounting choice on a lossy channel, else push iff the transmit side
+//     is under a quarter of the listen side;
 //   * the scheduler's cost model sums *live* degrees once nodes retire
 //     (companion to test_channel_direction's static-cost-model test);
 //   * RunMis receptions, decisions and energy are bit-identical across
-//     compaction on/off x push/pull/auto x loss {0, 0.3} (golden trace
-//     hashes);
+//     compaction on/off x loss {0, 0.3} (golden trace hashes);
 //   * the payload tie-break contract: a reception's payload is observable
 //     only when exactly one transmitter survives; >= 2 survivors perceive as
 //     collision/silence/beep with payload 0, on seed and compacted rows
@@ -330,24 +332,39 @@ TEST(RetireBatch, NodeTwiceInOneBatchThrowsAndRetiresNothing) {
   ExpectSameState(batched, SequentialResidual(g), "after out-of-range batch");
 }
 
-// --- ResolveDirection (the cost model in isolation) -----------------------
+// --- ResolveDirection / PhysicalDirection in isolation --------------------
 
-TEST(ResolveDirection, ForcedOverridesWinUnconditionally) {
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kPush, 1, 1000),
-            ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kPull, 1000, 1),
-            ChannelDirection::kPull);
+TEST(ResolveDirection, TakesCheaperSideTiesToPush) {
+  EXPECT_EQ(ResolveDirection(10, 3), ChannelDirection::kPull);
+  EXPECT_EQ(ResolveDirection(3, 10), ChannelDirection::kPush);
+  EXPECT_EQ(ResolveDirection(7, 7), ChannelDirection::kPush);
+  EXPECT_EQ(ResolveDirection(0, 0), ChannelDirection::kPush);
 }
 
-TEST(ResolveDirection, AutoTakesCheaperSideTiesToPush) {
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 10, 3),
-            ChannelDirection::kPull);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 10),
-            ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 7, 7),
-            ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 0, 0),
-            ChannelDirection::kPush);
+TEST(PhysicalDirection, ShardedRoundsAlwaysPull) {
+  // Stamping is shard-local, so a sharded round resolves pull-side even
+  // where one shard would push.
+  for (const bool lossy : {false, true}) {
+    EXPECT_EQ(PhysicalDirection(2, lossy, 1, 1000), ChannelDirection::kPull);
+    EXPECT_EQ(PhysicalDirection(4, lossy, 0, 0), ChannelDirection::kPull);
+  }
+}
+
+TEST(PhysicalDirection, LossyRoundsFollowTheAccountingModel) {
+  EXPECT_EQ(PhysicalDirection(1, true, 3, 10), ChannelDirection::kPush);
+  EXPECT_EQ(PhysicalDirection(1, true, 7, 7), ChannelDirection::kPush);
+  EXPECT_EQ(PhysicalDirection(1, true, 10, 3), ChannelDirection::kPull);
+  // 3 * 4 >= 10: the loss-free rule would pull here.
+  EXPECT_EQ(PhysicalDirection(1, false, 3, 10), ChannelDirection::kPull);
+}
+
+TEST(PhysicalDirection, LossFreePushesOnlyBelowAQuarter) {
+  // 4 * tx < listen, strictly: 24 / 100 pushes, 25 / 100 pulls.
+  EXPECT_EQ(PhysicalDirection(1, false, 24, 100), ChannelDirection::kPush);
+  EXPECT_EQ(PhysicalDirection(1, false, 25, 100), ChannelDirection::kPull);
+  EXPECT_EQ(PhysicalDirection(1, false, 25, 101), ChannelDirection::kPush);
+  EXPECT_EQ(PhysicalDirection(1, false, 0, 1), ChannelDirection::kPush);
+  EXPECT_EQ(PhysicalDirection(1, false, 0, 0), ChannelDirection::kPull);
 }
 
 // --- Scheduler cost model on live degrees ---------------------------------
@@ -366,9 +383,9 @@ TEST(ResidualCompaction, CostModelSumsLiveDegrees) {
   // Star(64): the hub transmits, leaf 1 listens, leaves 2..63 finish at
   // spawn and are auto-retired. With the static cost model pull would win
   // (1 listener-degree-1 vs hub-degree-63); on live degrees the hub's
-  // degree collapses to 1, the sums tie, and auto resolves push. This is
-  // the intended behavior change pinned the other way (compaction off) in
-  // test_channel_direction.cpp's AutoPullsWhenListenersAreCheap.
+  // degree collapses to 1, the sums tie, and the round is accounted push.
+  // This is the intended behavior change pinned the other way (compaction
+  // off) in test_channel_direction.cpp's AutoPullsWhenListenersAreCheap.
   const Graph g = gen::Star(64);
   obs::MetricsRegistry metrics;
   Scheduler sched(g, {.metrics = &metrics}, 1);
@@ -419,15 +436,13 @@ struct RunFingerprint {
 };
 
 RunFingerprint Fingerprint(const Graph& g, MisAlgorithm algorithm,
-                           bool compaction, ChannelResolution resolution,
-                           double loss) {
+                           bool compaction, double loss) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
   cfg.seed = 7;
   cfg.trace = &trace;
   cfg.link_loss = loss;
-  cfg.resolution = resolution;
   cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
@@ -440,19 +455,9 @@ TEST(ResidualCompaction, ReceptionsBitIdenticalAcrossKnobs) {
   const Graph g = gen::ErdosRenyi(72, 0.1, rng);
   for (MisAlgorithm algorithm : {MisAlgorithm::kCd, MisAlgorithm::kNoCd}) {
     for (double loss : {0.0, 0.3}) {
-      const RunFingerprint base = Fingerprint(
-          g, algorithm, /*compaction=*/true, ChannelResolution::kAuto, loss);
-      for (bool compaction : {true, false}) {
-        for (ChannelResolution resolution :
-             {ChannelResolution::kAuto, ChannelResolution::kPush,
-              ChannelResolution::kPull}) {
-          const RunFingerprint got =
-              Fingerprint(g, algorithm, compaction, resolution, loss);
-          EXPECT_EQ(got, base)
-              << ToString(algorithm) << " loss " << loss << " compaction "
-              << compaction << " resolution " << static_cast<int>(resolution);
-        }
-      }
+      EXPECT_EQ(Fingerprint(g, algorithm, /*compaction=*/false, loss),
+                Fingerprint(g, algorithm, /*compaction=*/true, loss))
+          << ToString(algorithm) << " loss " << loss;
     }
   }
 }
@@ -463,12 +468,9 @@ TEST(ResidualCompaction, GoldenTraceHashes) {
   // agree with each other.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
-  const RunFingerprint cd = Fingerprint(g, MisAlgorithm::kCd, true,
-                                        ChannelResolution::kAuto, 0.0);
-  const RunFingerprint cd_lossy = Fingerprint(g, MisAlgorithm::kCd, true,
-                                              ChannelResolution::kAuto, 0.3);
-  const RunFingerprint nocd = Fingerprint(g, MisAlgorithm::kNoCd, true,
-                                          ChannelResolution::kAuto, 0.0);
+  const RunFingerprint cd = Fingerprint(g, MisAlgorithm::kCd, true, 0.0);
+  const RunFingerprint cd_lossy = Fingerprint(g, MisAlgorithm::kCd, true, 0.3);
+  const RunFingerprint nocd = Fingerprint(g, MisAlgorithm::kNoCd, true, 0.0);
   EXPECT_EQ(cd.trace_hash, 0xB54A7384D88D1E30ULL);
   EXPECT_EQ(cd_lossy.trace_hash, 0x0FA217956D3014ABULL);
   EXPECT_EQ(nocd.trace_hash, 0xE8D014E39E2297D4ULL);

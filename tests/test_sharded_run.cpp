@@ -11,11 +11,15 @@
 //   * a graph big enough to cross the scheduler's inline-below threshold
 //     (kParallelMinNodes) so real pool threads execute the round passes;
 //   * pinned graph.compactions / graph.edges_reclaimed / chan.edges_scanned
-//     at shards 1-4 on a graph dense enough that the row-owner retire pass
-//     and the residual copy dispatch to the pool;
+//     / chan.push_rounds / chan.pull_rounds for both engines at shards 1-4
+//     on a graph dense enough that the row-owner retire pass and the
+//     residual copy dispatch to the pool;
 //   * emis-run-report/1 documents are identical across shard counts outside
 //     the declared cost observables (run.shards, chan.merge_words,
-//     parallel.* gauges, wall-clock timers, alloc).
+//     parallel.* gauges, wall-clock timers, alloc), and run.shards reports
+//     the shard count that ran, not the one requested;
+//   * EMIS_SHARDS / EMIS_ENGINE typos fail closed (exit 2), never run on
+//     the default.
 // Format contract: pack -> mmap round-trips the exact CSR arrays, and the
 // loader rejects truncation, bad magic, bad version, foreign endianness and
 // header sizes whose arithmetic overflows.
@@ -26,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,19 +291,24 @@ struct RunFingerprint {
   std::uint64_t compactions = 0;
   std::uint64_t edges_reclaimed = 0;
   std::uint64_t edges_scanned = 0;
+  // The accounting model's direction split (scheduler.hpp ResolveDirection),
+  // which must not depend on the direction the channel physically scans.
+  std::uint64_t push_rounds = 0;
+  std::uint64_t pull_rounds = 0;
 
   friend bool operator==(const RunFingerprint&, const RunFingerprint&) = default;
 };
 
 RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
                                   MisAlgorithm algorithm, double loss,
-                                  bool compaction) {
+                                  bool compaction,
+                                  ExecutionEngine engine = ExecutionEngine::kFlat) {
   HashTrace trace;
   obs::MetricsRegistry metrics;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
   cfg.seed = 7;
-  cfg.engine = ExecutionEngine::kFlat;
+  cfg.engine = engine;
   cfg.shards = shards;
   cfg.trace = &trace;
   cfg.metrics = &metrics;
@@ -313,7 +323,9 @@ RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
           trace.Value(),
           metrics.GetCounter("graph.compactions").Value(),
           metrics.GetCounter("graph.edges_reclaimed").Value(),
-          metrics.GetCounter("chan.edges_scanned").Value()};
+          metrics.GetCounter("chan.edges_scanned").Value(),
+          metrics.GetCounter("chan.push_rounds").Value(),
+          metrics.GetCounter("chan.pull_rounds").Value()};
 }
 
 constexpr MisAlgorithm kCores[] = {
@@ -374,25 +386,35 @@ TEST(ShardedRun, ResidualCountersPinnedWhereRetirePassesDispatch) {
   // and the early Luby phases' retire batches are far above the scheduler's
   // retire dispatch threshold, so at 2+ shards the row-owner retire pass
   // runs on pool threads. The order-dependent compaction counters were
-  // recorded from the per-node retire walk this pass replaced; every shard
-  // count must reproduce them and the single-shard fingerprint exactly.
+  // recorded from the per-node retire walk this pass replaced, and the
+  // push/pull round split from the build whose rounds still had a separate
+  // sharded body; both engines at every shard count must reproduce them and
+  // the single-shard flat fingerprint exactly.
   Rng rng(2718);
   const Graph g = gen::ErdosRenyi(4096, 0.0234375, rng);
   struct Pinned {
     MisAlgorithm algorithm;
     std::uint64_t compactions;
     std::uint64_t edges_scanned;
+    std::uint64_t push_rounds;
+    std::uint64_t pull_rounds;
   };
-  for (const Pinned& pinned : {Pinned{MisAlgorithm::kCd, 4191, 495458},
-                               Pinned{MisAlgorithm::kNoCd, 4627, 5619579}}) {
+  for (const Pinned& pinned : {Pinned{MisAlgorithm::kCd, 4191, 495458, 98, 57},
+                               Pinned{MisAlgorithm::kNoCd, 4627, 5619579, 67932, 5363}}) {
+    const std::string what(ToString(pinned.algorithm));
     const RunFingerprint reference =
         ShardedFingerprint(g, 1, pinned.algorithm, 0.0, true);
-    EXPECT_EQ(reference.compactions, pinned.compactions) << ToString(pinned.algorithm);
-    EXPECT_EQ(reference.edges_reclaimed, 2 * g.NumEdges()) << ToString(pinned.algorithm);
-    EXPECT_EQ(reference.edges_scanned, pinned.edges_scanned) << ToString(pinned.algorithm);
-    for (unsigned shards : {2u, 3u, 4u}) {
-      EXPECT_EQ(ShardedFingerprint(g, shards, pinned.algorithm, 0.0, true), reference)
-          << ToString(pinned.algorithm) << " shards " << shards;
+    EXPECT_EQ(reference.compactions, pinned.compactions) << what;
+    EXPECT_EQ(reference.edges_reclaimed, 2 * g.NumEdges()) << what;
+    EXPECT_EQ(reference.edges_scanned, pinned.edges_scanned) << what;
+    EXPECT_EQ(reference.push_rounds, pinned.push_rounds) << what;
+    EXPECT_EQ(reference.pull_rounds, pinned.pull_rounds) << what;
+    for (ExecutionEngine engine : {ExecutionEngine::kFlat, ExecutionEngine::kCoroutine}) {
+      for (unsigned shards : {1u, 2u, 3u, 4u}) {
+        EXPECT_EQ(ShardedFingerprint(g, shards, pinned.algorithm, 0.0, true, engine),
+                  reference)
+            << what << " " << ToString(engine) << " shards " << shards;
+      }
     }
   }
 }
@@ -431,7 +453,7 @@ std::string NormalizedShardReport(const Graph& g, unsigned shards) {
                                             .nodes = g.NumNodes(),
                                             .edges = g.NumEdges(),
                                             .max_degree = g.MaxDegree(),
-                                            .shards = shards,
+                                            .shards = r.shards,
                                             .valid_mis = r.Valid(),
                                             .mis_size = r.MisSize(),
                                             .stats = &r.stats,
@@ -483,13 +505,85 @@ TEST(ShardedRun, ReportsIdenticalAcrossShardCountsOutsideCostKeys) {
   EXPECT_EQ(NormalizedShardReport(g, 4), reference);
 }
 
-TEST(ShardedRun, DefaultShardsParsesEnvironmentContract) {
-  // DefaultShards() is cached per process, so this only checks the value is
-  // in the documented range; the EMIS_SHARDS parsing paths are covered by
-  // the CI matrix running this whole suite under EMIS_SHARDS=4.
-  const unsigned shards = DefaultShards();
-  EXPECT_GE(shards, 1u);
-  EXPECT_LE(shards, 256u);
+// ---------------------------------------------------------------------------
+// The shard count a run reports, and the environment defaults
+
+/// `emis_cli run` on path:n=3 with the given flags; returns run.shards from
+/// the report it wrote.
+double ReportedShards(const std::string& flags) {
+  const std::string report = TempPath("reported_shards.json");
+  std::remove(report.c_str());
+  const std::string cmd = std::string(EMIS_CLI_PATH) +
+                          " run --graph path:n=3 --alg cd " + flags +
+                          " --report-out " + report + " --quiet";
+  const int status = std::system(cmd.c_str());
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << cmd;
+  std::ifstream in(report);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return obs::ParseJson(text).Find("run")->Find("shards")->AsNumber();
+}
+
+TEST(ShardedRun, CoroutineEngineReportsOneShard) {
+  // The coroutine engine always runs one shard, whatever was requested.
+  EXPECT_EQ(ReportedShards("--engine coroutine --shards 4"), 1.0);
+  const MisRunResult r = RunMis(
+      gen::Path(3), {.engine = ExecutionEngine::kCoroutine, .shards = 4});
+  EXPECT_EQ(r.shards, 1u);
+}
+
+TEST(ShardedRun, FlatEngineReportsShardsClampedToNodes) {
+  // Three nodes cannot fill eight shards; the scheduler runs three.
+  EXPECT_EQ(ReportedShards("--engine flat --shards 8"), 3.0);
+  const MisRunResult r =
+      RunMis(gen::Path(3), {.engine = ExecutionEngine::kFlat, .shards = 8});
+  EXPECT_EQ(r.shards, 3u);
+}
+
+TEST(ShardedRun, ParseShardsAcceptsOnlyTheDocumentedRange) {
+  EXPECT_EQ(ParseShards("1", "--shards"), 1u);
+  EXPECT_EQ(ParseShards("4", "EMIS_SHARDS"), 4u);
+  EXPECT_EQ(ParseShards("256", "--shards"), 256u);
+  for (const char* bad : {"", "0", "257", "four", "4x", " 4", "+4", "-1",
+                          "99999999999999999999"}) {
+    try {
+      ParseShards(bad, "EMIS_SHARDS");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("EMIS_SHARDS"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ShardedRun, ParseExecutionEngineRejectsUnknownNames) {
+  EXPECT_EQ(ParseExecutionEngine("flat", "EMIS_ENGINE"), ExecutionEngine::kFlat);
+  EXPECT_EQ(ParseExecutionEngine("coroutine", "EMIS_ENGINE"),
+            ExecutionEngine::kCoroutine);
+  for (const char* bad : {"", "flta", "Flat", "flat "}) {
+    EXPECT_THROW(ParseExecutionEngine(bad, "EMIS_ENGINE"), PreconditionError)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ShardedRun, EnvironmentTyposExitWithUsageError) {
+  // A set but invalid default must fail the run (exit 2), not quietly run
+  // on the default — a typo in a CI matrix would otherwise test nothing.
+  // An empty value still means "unset".
+  const std::string run = std::string(EMIS_CLI_PATH) +
+                          " run --graph path:n=3 --alg cd --quiet 2>/dev/null";
+  for (const char* env : {"EMIS_SHARDS=four", "EMIS_ENGINE=flta"}) {
+    const std::string cmd = std::string(env) + " " + run;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  }
+  for (const char* env : {"EMIS_SHARDS=", "EMIS_ENGINE="}) {
+    const std::string cmd = std::string(env) + " " + run;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << cmd;
+  }
 }
 
 }  // namespace

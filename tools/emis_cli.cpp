@@ -6,7 +6,7 @@
 //   emis_cli graph pack --graph <spec | file:PATH> [--seed S] --out FILE.csr
 //   emis_cli run   --graph <spec | file:PATH | csr:PATH> --alg <name>
 //                  [--seed S] [--preset practical|theory] [--delta-unknown]
-//                  [--resolution auto|push|pull] [--compaction on|off]
+//                  [--compaction on|off] [--engine coroutine|flat]
 //                  [--shards N]
 //                  [--trace FILE.csv] [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
@@ -14,7 +14,7 @@
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
 //                  --sizes 64,128,... [--seeds K] [--delta-unknown]
-//                  [--resolution auto|push|pull] [--compaction on|off]
+//                  [--compaction on|off] [--engine coroutine|flat]
 //                  [--shards N] [--jobs N] [--report-out FILE.json]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
@@ -94,14 +94,6 @@ Flags Parse(int argc, char** argv, int first) {
   return flags;
 }
 
-ChannelResolution ResolutionFlag(const Flags& flags) {
-  const std::string text = flags.Get("resolution", "auto");
-  const ChannelResolution r = ChannelResolutionFromString(text);
-  EMIS_REQUIRE(r != kInvalidChannelResolution,
-               "--resolution must be auto, push or pull (got '" + text + "')");
-  return r;
-}
-
 bool CompactionFlag(const Flags& flags) {
   const std::string text = flags.Get("compaction", "on");
   EMIS_REQUIRE(text == "on" || text == "off",
@@ -110,26 +102,13 @@ bool CompactionFlag(const Flags& flags) {
 }
 
 ExecutionEngine EngineFlag(const Flags& flags) {
-  const std::string text =
-      flags.Get("engine", std::string(ToString(DefaultExecutionEngine())));
-  const ExecutionEngine e = ExecutionEngineFromString(text);
-  EMIS_REQUIRE(e != kInvalidExecutionEngine,
-               "--engine must be coroutine or flat (got '" + text + "')");
-  return e;
+  return flags.Has("engine") ? ParseExecutionEngine(flags.Get("engine"), "--engine")
+                             : DefaultExecutionEngine();
 }
 
 unsigned ShardsFlag(const Flags& flags) {
-  const std::string text =
-      flags.Get("shards", std::to_string(DefaultShards()));
-  unsigned long value = 0;
-  try {
-    value = std::stoul(text);
-  } catch (const std::exception&) {
-    value = 0;
-  }
-  EMIS_REQUIRE(value >= 1 && value <= 256,
-               "--shards must be in [1, 256] (got '" + text + "')");
-  return static_cast<unsigned>(value);
+  return flags.Has("shards") ? ParseShards(flags.Get("shards"), "--shards")
+                             : DefaultShards();
 }
 
 Graph LoadGraph(const std::string& source, std::uint64_t seed) {
@@ -222,7 +201,6 @@ int CmdRun(const Flags& flags) {
   EMIS_REQUIRE(preset == "practical" || preset == "theory",
                "--preset must be practical or theory");
   cfg.preset = preset == "theory" ? ParamPreset::kTheory : ParamPreset::kPractical;
-  cfg.resolution = ResolutionFlag(flags);
   cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
@@ -321,7 +299,7 @@ int CmdRun(const Flags& flags) {
                          .nodes = g.NumNodes(),
                          .edges = g.NumEdges(),
                          .max_degree = g.MaxDegree(),
-                         .shards = cfg.shards,
+                         .shards = r.shards,
                          .valid_mis = r.Valid(),
                          .mis_size = r.MisSize(),
                          .arena_reserved_bytes = r.arena.reserved_bytes,
@@ -389,7 +367,6 @@ int CmdSweep(const Flags& flags) {
   cfg.algorithm = alg_it->second;
   cfg.seeds_per_size = static_cast<std::uint32_t>(std::stoul(flags.Get("seeds", "5")));
   cfg.delta_unknown = flags.Has("delta-unknown");
-  cfg.resolution = ResolutionFlag(flags);
   cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
@@ -519,8 +496,8 @@ int CmdValidateReport(const Flags& flags) {
 }
 
 /// The usage text, shared by `help` (exit 0) and usage errors (exit 2).
-/// Every run/sweep cost knob (--resolution, --compaction, --engine) is
-/// listed for both commands; tests/golden/emis_cli_help.txt snapshots this
+/// Every run/sweep cost knob (--compaction, --engine, --shards) is listed
+/// for both commands; tests/golden/emis_cli_help.txt snapshots this
 /// output.
 void PrintUsage() {
   std::printf(
@@ -531,15 +508,13 @@ void PrintUsage() {
       "  emis_cli graph pack --graph <spec|file:PATH> [--seed S] --out FILE.csr\n"
       "  emis_cli run --graph <spec|file:PATH|csr:PATH> --alg <name> [--seed S]\n"
       "               [--preset practical|theory] [--delta-unknown]\n"
-      "               [--resolution auto|push|pull] [--compaction on|off]\n"
-      "               [--engine coroutine|flat] [--shards N]\n"
+      "               [--compaction on|off] [--engine coroutine|flat] [--shards N]\n"
       "               [--trace FILE.csv] [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
       "               [--metrics-text FILE.prom] [--quiet]\n"
       "  emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>\n"
-      "               --sizes 64,128,... [--seeds K] [--avg-degree D]\n"
-      "               [--delta-unknown] [--resolution auto|push|pull]\n"
+      "               --sizes 64,128,... [--seeds K] [--avg-degree D] [--delta-unknown]\n"
       "               [--compaction on|off] [--engine coroutine|flat]\n"
       "               [--shards N] [--jobs N] [--report-out FILE.json]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
@@ -547,8 +522,6 @@ void PrintUsage() {
       "  emis_cli validate-report FILE.json\n"
       "                (run, bench, diff, and emis-lint-report/1|/2 schemas)\n"
       "cost knobs (identical results, different cost):\n"
-      "  --resolution  channel direction: auto picks per round by live-degree\n"
-      "                sums; push/pull force one side\n"
       "  --compaction  residual-graph compaction: on (default) drops retired\n"
       "                nodes from channel scan rows; off scans seed CSR rows\n"
       "  --engine      execution backend: coroutine (default; override via\n"
