@@ -1,9 +1,9 @@
 // Machine-readable trace sink: one JSON object per event, newline-delimited.
 //
-// Sits alongside RingTrace (in-memory ring) and CsvTrace (spreadsheet rows);
-// JSONL is the format trace-analysis tooling actually wants — each line is
-// independently parseable, so truncated files and streamed consumption both
-// work. Field set matches TraceEvent; listen events add the reception.
+// Sits alongside RingTrace (in-memory ring); JSONL is the format
+// trace-analysis tooling actually wants — each line is independently
+// parseable, so truncated files and streamed consumption both work. Field
+// set matches TraceEvent; listen events add the reception.
 #pragma once
 
 #include <cstdint>

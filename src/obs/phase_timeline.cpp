@@ -1,5 +1,6 @@
 #include "obs/phase_timeline.hpp"
 
+#include "core/contracts.hpp"
 #include "obs/energy_ledger.hpp"
 
 namespace emis::obs {
@@ -19,32 +20,64 @@ std::string MakeLabel(std::string_view base, std::uint64_t index) {
 void PhaseTimeline::Annotate(std::string_view base, std::uint64_t index,
                              Round round) {
   if (Matches(open_[0], base, index)) return;
-  // One residual probe per boundary serves both the closing and the opening
-  // span (probing twice would double the O(m) scan for the same round).
-  const bool probed = static_cast<bool>(residual_probe_);
-  const std::uint64_t residual = probed ? residual_probe_() : 0;
-  CloseLevel(1, round, /*probed=*/false, 0);
-  CloseLevel(0, round, probed, residual);
-  Open(0, base, index, round, probed, residual);
+  EMIS_EXPECTS(!pending_ || round == pending_round_,
+               "a phase boundary's residual must be resolved before a later "
+               "round annotates");
+  CloseLevel(1, round);
+  CloseLevel(0, round);
+  Open(0, base, index, round);
 }
 
 void PhaseTimeline::AnnotateSub(std::string_view base, std::uint64_t index,
                                 Round round) {
   if (Matches(open_[1], base, index)) return;
-  CloseLevel(1, round, /*probed=*/false, 0);
-  Open(1, base, index, round, /*probe_residual=*/false, 0);
+  EMIS_EXPECTS(!pending_ || round == pending_round_,
+               "a phase boundary's residual must be resolved before a later "
+               "round annotates");
+  CloseLevel(1, round);
+  Open(1, base, index, round);
 }
 
 void PhaseTimeline::Close(Round round) {
-  const bool probed = open_[0].active && static_cast<bool>(residual_probe_);
-  const std::uint64_t residual = probed ? residual_probe_() : 0;
-  CloseLevel(1, round, /*probed=*/false, 0);
-  CloseLevel(0, round, probed, residual);
+  CloseLevel(1, round);
+  CloseLevel(0, round);
+  ResolveResidual();
+}
+
+void PhaseTimeline::MarkPending(Round round) {
+  pending_ = true;
+  pending_round_ = round;
+}
+
+void PhaseTimeline::ResolveResidual() {
+  if (!pending_) return;
+  // One probe per boundary serves every span it closed and opened (probing
+  // twice would double the O(m) scan for the same round).
+  const std::uint64_t residual = residual_probe_ ? residual_probe_() : 0;
+  for (const PendingSpan& p : pending_spans_) {
+    spans_[p.span].residual_edges_end = residual;
+    if (p.begin) spans_[p.span].residual_edges_begin = residual;
+  }
+  pending_spans_.clear();
+  if (open_[0].begin_pending) {
+    open_[0].residual_at_open = residual;
+    open_[0].begin_pending = false;
+  }
+  pending_ = false;
+  FireHooks();
+}
+
+void PhaseTimeline::FireHooks() {
+  if (pending_) return;
+  if (!span_hook_) {
+    hooked_ = spans_.size();
+    return;
+  }
+  while (hooked_ < spans_.size()) span_hook_(spans_[hooked_++]);
 }
 
 void PhaseTimeline::Open(std::uint32_t level, std::string_view base,
-                         std::uint64_t index, Round round, bool probe_residual,
-                         std::uint64_t residual) {
+                         std::uint64_t index, Round round) {
   OpenSpan& open = open_[level];
   open.active = true;
   open.base.assign(base);
@@ -52,8 +85,11 @@ void PhaseTimeline::Open(std::uint32_t level, std::string_view base,
   open.begin_round = round;
   open.transmit_at_open = meter_ != nullptr ? meter_->TotalTransmit() : 0;
   open.listen_at_open = meter_ != nullptr ? meter_->TotalListen() : 0;
-  open.has_residual = probe_residual;
-  open.residual_at_open = residual;
+  // Residuals are probed at level-0 boundaries only.
+  open.has_residual = level == 0 && static_cast<bool>(residual_probe_);
+  open.begin_pending = open.has_residual;
+  open.residual_at_open = 0;
+  if (open.has_residual) MarkPending(round);
   if (ledger_ != nullptr) {
     // Charges from this round on belong to the new span. SetPhase clears
     // the sub context (a fresh level-0 span has no open sub-phase yet).
@@ -66,8 +102,7 @@ void PhaseTimeline::Open(std::uint32_t level, std::string_view base,
   }
 }
 
-void PhaseTimeline::CloseLevel(std::uint32_t level, Round round, bool probed,
-                               std::uint64_t residual) {
+void PhaseTimeline::CloseLevel(std::uint32_t level, Round round) {
   OpenSpan& open = open_[level];
   if (!open.active) return;
   PhaseSpan span;
@@ -81,11 +116,16 @@ void PhaseTimeline::CloseLevel(std::uint32_t level, Round round, bool probed,
   const std::uint64_t lx = meter_ != nullptr ? meter_->TotalListen() : 0;
   span.transmit_rounds = tx - open.transmit_at_open;
   span.listen_rounds = lx - open.listen_at_open;
-  span.has_residual = open.has_residual && probed;
+  span.has_residual = open.has_residual && static_cast<bool>(residual_probe_);
   span.residual_edges_begin = open.residual_at_open;
-  span.residual_edges_end = residual;
+  if (span.has_residual) {
+    // The end residual is this boundary's: filled by ResolveResidual.
+    pending_spans_.push_back({spans_.size(), open.begin_pending});
+    MarkPending(round);
+  }
   spans_.push_back(std::move(span));
   open.active = false;
+  open.begin_pending = false;
   if (ledger_ != nullptr) {
     // Until another span opens at this level, charges fall back to the
     // enclosing context (or to the unattributed key when a phase closes).
@@ -95,13 +135,16 @@ void PhaseTimeline::CloseLevel(std::uint32_t level, Round round, bool probed,
       ledger_->SetSub({});
     }
   }
-  if (span_hook_) span_hook_(spans_.back());
+  FireHooks();
 }
 
 void PhaseTimeline::Clear() {
   spans_.clear();
   open_[0] = OpenSpan{};
   open_[1] = OpenSpan{};
+  hooked_ = 0;
+  pending_ = false;
+  pending_spans_.clear();
 }
 
 void PhaseAggregate::Accumulate(const PhaseTimeline& timeline) {

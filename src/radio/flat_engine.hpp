@@ -61,18 +61,15 @@ class FlatCtx {
     return ctx_.cold->energy != nullptr ? ctx_.cold->energy->Awake() : 0;
   }
 
-  /// Phase / sub-phase annotations; same semantics as NodeApi.
+  /// Phase / sub-phase annotations; same semantics as NodeApi (staged in
+  /// the node's shard buffer, committed when the step is filed).
   void Phase(std::string_view base,
              std::uint64_t index = obs::PhaseTimeline::kNoIndex) const {
-    if (ctx_.cold->timeline != nullptr) {
-      ctx_.cold->timeline->Annotate(base, index, ctx_.hot->now);
-    }
+    ctx_.NotePhase(0, base, index);
   }
   void SubPhase(std::string_view base,
                 std::uint64_t index = obs::PhaseTimeline::kNoIndex) const {
-    if (ctx_.cold->timeline != nullptr) {
-      ctx_.cold->timeline->AnnotateSub(base, index, ctx_.hot->now);
-    }
+    ctx_.NotePhase(1, base, index);
   }
 
   /// Files one awake transmit round. The caller must yield out of Step()

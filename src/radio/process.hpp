@@ -23,7 +23,9 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/phase_timeline.hpp"
 #include "radio/energy.hpp"
@@ -58,6 +60,9 @@ struct HotNodeContext {
   /// Set once the scheduler has retired the node: it must never transmit or
   /// listen again (sleeping until a sync round and finishing are fine).
   static constexpr std::uint8_t kRetiredBit = 0x10;
+  /// Set while the node's step has staged PhaseNotes that filing has not
+  /// committed yet, so filing skips the buffers for every other node.
+  static constexpr std::uint8_t kPhaseNotesBit = 0x20;
 
   /// Widest clock value the narrowed `now` field can hold. The scheduler
   /// asserts each round that the global clock fits; executing 2^32 rounds
@@ -94,6 +99,7 @@ struct HotNodeContext {
     return (flags & kRetireRequestBit) != 0;
   }
   bool Retired() const noexcept { return (flags & kRetiredBit) != 0; }
+  bool HasPhaseNotes() const noexcept { return (flags & kPhaseNotesBit) != 0; }
 
   void FileTransmit(std::uint64_t payload) noexcept {
     SetPending(ActionKind::kTransmit);
@@ -106,6 +112,10 @@ struct HotNodeContext {
   }
   void MarkDone() noexcept { flags |= kDoneBit; }
   void RequestRetire() noexcept { flags |= kRetireRequestBit; }
+  void MarkPhaseNotes() noexcept { flags |= kPhaseNotesBit; }
+  void ClearPhaseNotes() noexcept {
+    flags = static_cast<std::uint8_t>(flags & ~kPhaseNotesBit);
+  }
   /// Retiring consumes the one-shot retire request (Scheduler::Retire).
   void MarkRetired() noexcept {
     flags = static_cast<std::uint8_t>((flags | kRetiredBit) & ~kRetireRequestBit);
@@ -120,6 +130,21 @@ static_assert(sizeof(HotNodeContext) <= kHotContextBytes,
               "hot context outgrew its streamed-line budget (size_budget.hpp)");
 static_assert(alignof(HotNodeContext) == alignof(Round),
               "hot context alignment must not pad the parallel array");
+
+/// One phase annotation a node made during its step: level 0 is
+/// NodeApi::Phase, level 1 SubPhase. Steps stage these in their shard's
+/// buffer (they may run in parallel); the scheduler replays them into the
+/// timeline when it files the node, in batch order (Scheduler::FileAction),
+/// at the round the step advanced the node to. `base` is viewed, not
+/// copied: it must outlive the step's filing, which every protocol's
+/// string-literal labels do.
+struct PhaseNote {
+  NodeId node = kInvalidNode;
+  std::uint32_t level = 0;
+  std::string_view base;
+  std::uint64_t index = 0;
+};
+using PhaseNoteBuffer = std::vector<PhaseNote>;
 
 /// The cold half: state a resume touches only when the node actually does
 /// something beyond being rescheduled. Owned by the Scheduler in an array
@@ -139,10 +164,10 @@ struct ColdNodeContext {
   /// read them to implement the paper's deterministic energy thresholds.
   const NodeEnergy* energy = nullptr;
 
-  /// Optional run-level phase timeline (owned by the caller, installed via
-  /// SchedulerConfig); null when observability is off. Protocols annotate
-  /// through NodeApi::Phase / SubPhase.
-  obs::PhaseTimeline* timeline = nullptr;
+  /// The phase-annotation buffer of this node's shard (owned by the
+  /// scheduler); null when no timeline is attached, which makes
+  /// NodeApi::Phase / SubPhase no-ops.
+  PhaseNoteBuffer* phase_notes = nullptr;
 
   NodeId id = kInvalidNode;
 };
@@ -161,6 +186,16 @@ struct NodeContext {
 
   /// Marks the root program finished — the flat engine's terminal step.
   void MarkDone() const noexcept { hot->MarkDone(); }
+
+  /// Stages a phase annotation at the node's current round (NodeApi and
+  /// FlatCtx Phase / SubPhase); a no-op without a timeline.
+  void NotePhase(std::uint32_t level, std::string_view base,
+                 std::uint64_t index) const {
+    if (cold->phase_notes != nullptr) {
+      cold->phase_notes->push_back({cold->id, level, base, index});
+      hot->MarkPhaseNotes();
+    }
+  }
 };
 
 static_assert(sizeof(NodeContext) <= kContextViewBytes,
@@ -361,22 +396,19 @@ class NodeApi {
 
   /// Annotates a protocol phase boundary (e.g. Phase("luby-phase", k)) at
   /// this node's current round. All participants of a synchronized phase may
-  /// call it; repeats of the open label are merged by the timeline. No-op
-  /// when no timeline is installed.
+  /// call it; repeats of the open label are merged by the timeline. The
+  /// annotation reaches the timeline when the scheduler files this step
+  /// (PhaseNote). No-op when no timeline is installed.
   void Phase(std::string_view base,
              std::uint64_t index = obs::PhaseTimeline::kNoIndex) const {
-    if (ctx_.cold->timeline != nullptr) {
-      ctx_.cold->timeline->Annotate(base, index, ctx_.hot->now);
-    }
+    ctx_.NotePhase(0, base, index);
   }
 
   /// Annotates a sub-phase (a window inside the current phase, e.g. a
   /// "decay" backoff) without closing the enclosing phase span.
   void SubPhase(std::string_view base,
                 std::uint64_t index = obs::PhaseTimeline::kNoIndex) const {
-    if (ctx_.cold->timeline != nullptr) {
-      ctx_.cold->timeline->AnnotateSub(base, index, ctx_.hot->now);
-    }
+    ctx_.NotePhase(1, base, index);
   }
 
   /// Spend one awake round transmitting `payload`. The paper's algorithms

@@ -126,7 +126,23 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     ctx_cold_[v].id = v;
     ctx_cold_[v].rng = root.Split(v);
     ctx_cold_[v].energy = &energy_.Of(v);
-    ctx_cold_[v].timeline = config_.timeline;
+  }
+  if (config_.timeline != nullptr) {
+    // One annotation buffer per shard, each node pointing at its own
+    // shard's: parallel steps stage annotations without sharing a writer.
+    phase_notes_.resize(shards_);
+    phase_note_next_.assign(shards_, 0);
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      ctx_cold_[v].phase_notes = &phase_notes_[Sharded() ? ShardOf(v) : 0];
+    }
+    if (Sharded()) {
+      // Room for a phase and a sub-phase per node — what a boundary step
+      // stages — so pool workers do not allocate (pages are touched only
+      // as notes arrive). Unsharded passes hold one node's notes at a time.
+      for (unsigned s = 0; s < shards_; ++s) {
+        phase_notes_[s].reserve(2 * std::size_t{shard_begin_[s + 1] - shard_begin_[s]});
+      }
+    }
   }
 }
 
@@ -151,7 +167,8 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
   EMIS_EXPECTS(!spawned_, "Spawn must be called exactly once");
   EMIS_EXPECTS(config_.engine == ExecutionEngine::kFlat,
                "SpawnFlat drives the flat engine; use Spawn");
-  EMIS_EXPECTS(protocol != nullptr, "flat protocol must not be null");
+  // Always on: every later step dereferences the protocol.
+  EMIS_REQUIRE(protocol != nullptr, "flat protocol must not be null");
   spawned_ = true;
   flat_ = std::move(protocol);
   flat_lanes_ = flat_->Lanes();
@@ -237,7 +254,7 @@ void Scheduler::AdvanceNode(NodeId v, Round round) {
 
 void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round,
                             const std::vector<std::vector<NodeId>>* slices) {
-  if (ParallelStepEligible() && batch.size() >= kParallelMinNodes) {
+  if (Sharded() && batch.size() >= kParallelMinNodes) {
     par::ParallelFor(shards_, shards_, [&](std::uint64_t s, unsigned) {
       std::span<const NodeId> slice;
       if (slices != nullptr) {
@@ -268,6 +285,7 @@ void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round,
 
 void Scheduler::FileAction(NodeId v) {
   HotNodeContext& hot = ctx_hot_[v];
+  if (hot.HasPhaseNotes()) CommitPhaseNotes(v);
   if (hot.Done()) {
     ++finished_;
     // A finished program never acts again: drop the node from every
@@ -289,6 +307,35 @@ void Scheduler::FileAction(NodeId v) {
       break;
     default:
       EMIS_UNREACHABLE("unhandled pending action kind");
+  }
+}
+
+void Scheduler::CommitPhaseNotes(NodeId v) {
+  // A shard's buffer holds its slice's annotations in step order, and the
+  // slice is a subsequence of the batch, so v's notes sit at the cursor.
+  HotNodeContext& hot = ctx_hot_[v];
+  hot.ClearPhaseNotes();
+  const unsigned s = Sharded() ? ShardOf(v) : 0;
+  PhaseNoteBuffer& notes = phase_notes_[s];
+  std::size_t& next = phase_note_next_[s];
+  for (; next < notes.size() && notes[next].node == v; ++next) {
+    const PhaseNote& note = notes[next];
+    if (note.level == 0) {
+      config_.timeline->Annotate(note.base, note.index, hot.now);
+    } else {
+      config_.timeline->AnnotateSub(note.base, note.index, hot.now);
+    }
+  }
+  if (next == notes.size()) {
+    notes.clear();
+    next = 0;
+  }
+}
+
+void Scheduler::ResolvePhaseBoundary(Round before) {
+  if (config_.timeline != nullptr && config_.timeline->ResidualPending() &&
+      config_.timeline->PendingRound() < before) {
+    config_.timeline->ResolveResidual();
   }
 }
 
@@ -401,6 +448,8 @@ ChannelDirection Scheduler::ChooseDirection() {
 }
 
 void Scheduler::ExecuteRound() {
+  // Every step into this round has been filed: its phase boundary is final.
+  ResolvePhaseBoundary(now_ + 1);
   {
     const obs::ScopedTimer timing(execute_timer_);
     channel_.BeginRound(ChooseDirection());
@@ -560,6 +609,9 @@ RunStats Scheduler::RunUntil(Round limit) {
     // wakes to overflow), and sorting in scratch keeps the bucket's
     // capacity for its next lap.
     if (overflow_min_ <= now_) MigrateOverflow();
+    // Steps into an earlier round are over: resolve its phase boundary
+    // before these wakes step into this one.
+    ResolvePhaseBoundary(now_);
     std::vector<NodeId>& bucket = wake_wheel_[now_ & (kWheelSize - 1)];
     if (!bucket.empty()) {
       const obs::ScopedTimer timing(wake_timer_);
@@ -616,6 +668,9 @@ RunStats Scheduler::RunUntil(Round limit) {
                "more protocols finished than nodes exist");
   EMIS_ENSURES(stats.rounds_used <= config_.max_rounds,
                "round complexity exceeds the configured hard stop");
+  // A boundary before the clock is final. One at now_ stays pending while
+  // wakes may still step into now_ on the next RunUntil.
+  ResolvePhaseBoundary(now_);
   // The run is over (not merely paused at `limit`): close the trailing phase
   // span so per-phase deltas cover the whole run.
   if (config_.timeline != nullptr && (AllFinished() || stats.hit_round_limit)) {

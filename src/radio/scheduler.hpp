@@ -83,8 +83,11 @@ struct SchedulerConfig {
   /// bench_simulator's *Instrumented variants).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional phase timeline (owned by the caller). The scheduler binds it
-  /// to its energy meter, protocols annotate via NodeApi::Phase, and the
-  /// timeline closes when the run finishes.
+  /// to its energy meter; protocols annotate via NodeApi::Phase into
+  /// per-shard buffers, which FileAction commits in batch order; each
+  /// boundary's residual is probed once every step into its round has been
+  /// filed; the timeline closes when the run finishes. Attaching it does not
+  /// change how steps execute.
   obs::PhaseTimeline* timeline = nullptr;
   /// Optional energy-attribution ledger (owned by the caller; must be sized
   /// to the graph). Every transmit/listen charge is mirrored into it, keyed
@@ -228,8 +231,8 @@ class Scheduler {
   /// The one step-then-file pass (spawn, wake drain, round resume): advances
   /// every node of `batch` to `round`, then files each in batch order and
   /// flushes the pass's retire batch. Steps run per shard on the pool when
-  /// ParallelStepEligible() and the batch reaches kParallelMinNodes, inline
-  /// (interleaved with filing) otherwise. `slices` are the batch's per-shard
+  /// sharded and the batch reaches kParallelMinNodes, inline (interleaved
+  /// with filing) otherwise. `slices` are the batch's per-shard
   /// sub-lists for the pool; null when the batch is node-ascending, which
   /// the shard cut then slices directly.
   void StepAndFile(std::span<const NodeId> batch, Round round,
@@ -238,12 +241,20 @@ class Scheduler {
   /// node order, to its first action (round 0).
   void StartAll();
 
-  /// Files node v's computed action: into actors_ (and its shard's list)
-  /// if it acts in round ctx.now, into the wake wheel if it sleeps; detects
-  /// completion and marks retirement. Always serial, in batch order —
-  /// filing mutates cross-node state (finished_, the wheel, the order of
-  /// the retire batch), whose mutation order the trace/report goldens pin.
+  /// Files node v's computed action: commits its step's phase annotations,
+  /// then files it into actors_ (and its shard's list) if it acts in round
+  /// ctx.now, into the wake wheel if it sleeps; detects completion and
+  /// marks retirement. Always serial, in batch order — filing mutates
+  /// cross-node state (the timeline, finished_, the wheel, the order of the
+  /// retire batch), whose mutation order the trace/report goldens pin.
   void FileAction(NodeId v);
+  /// Replays v's staged PhaseNotes into the timeline (Annotate /
+  /// AnnotateSub), popping them from v's shard buffer at its cursor. Called
+  /// only for nodes whose step staged notes (HotNodeContext flag).
+  void CommitPhaseNotes(NodeId v);
+  /// Resolves the timeline's pending boundary residual if its round is
+  /// before `before`, i.e. no step can still join it.
+  void ResolvePhaseBoundary(Round before);
 
   /// Issues prefetches for upcoming resumes in a batch: position i + 16
   /// pulls the node's hot context line (ctx_hot_ is 16 B/node — four nodes
@@ -294,14 +305,6 @@ class Scheduler {
   const std::vector<NodeId>& ShardActors(unsigned s) const noexcept {
     return Sharded() ? shard_actors_[s] : actors_;
   }
-  /// Whether per-node protocol steps may run in parallel: sharded and no
-  /// timeline (phase annotations mutate the shared timeline inside Step, so
-  /// annotated runs keep the serial reference path for the resume pass —
-  /// channel and energy passes stay parallel either way).
-  bool ParallelStepEligible() const noexcept {
-    return Sharded() && config_.timeline == nullptr;
-  }
-
   /// Pool dispatch only pays off when a pass has enough per-node work to
   /// amortize the barrier handshake; below this many nodes the same shard
   /// loop runs inline on the scheduler thread (ParallelFor with one job).
@@ -367,6 +370,10 @@ class Scheduler {
   std::vector<NodeId> shard_begin_;
   std::vector<std::vector<NodeId>> shard_actors_;
   std::vector<Channel::TxShardBuffer> tx_buffers_;
+  // Per-shard phase-annotation buffers and their filing cursors (sized only
+  // when a timeline is attached; empty between filing passes).
+  std::vector<PhaseNoteBuffer> phase_notes_;
+  std::vector<std::size_t> phase_note_next_;
   // Per-shard charge tallies from the round passes (one entry at one
   // shard), summed serially into the EnergyMeter totals once per round.
   std::vector<std::uint64_t> shard_tx_count_;

@@ -1,30 +1,8 @@
 #include "radio/trace.hpp"
 
-#include <ostream>
 #include <sstream>
 
 namespace emis {
-
-CsvTrace::CsvTrace(std::ostream& out) : out_(out) {
-  out_ << "round,node,action,payload,reception,recv_payload\n";
-}
-
-CsvTrace::~CsvTrace() { Flush(); }
-
-void CsvTrace::Flush() { out_.flush(); }
-
-void CsvTrace::OnEvent(const TraceEvent& event) {
-  out_ << event.round << ',' << event.node << ',' << ToString(event.action) << ',';
-  if (event.action == ActionKind::kTransmit) out_ << event.payload;
-  out_ << ',';
-  if (event.action == ActionKind::kListen) {
-    out_ << ToString(event.reception.kind) << ',';
-    if (event.reception.kind == ReceptionKind::kMessage) out_ << event.reception.payload;
-  } else {
-    out_ << ',';
-  }
-  out_ << '\n';
-}
 
 std::string ToString(const TraceEvent& event) {
   std::ostringstream os;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <string>
 
 #include "radio/model.hpp"
@@ -62,22 +61,6 @@ class RingTrace final : public TraceSink {
   std::size_t capacity_;
   std::deque<TraceEvent> events_;
   std::uint64_t total_seen_ = 0;
-};
-
-/// Streams events as CSV rows (round,node,action,payload,reception). All
-/// fields are numeric or fixed enum words, so no quoting is ever needed; the
-/// sink flushes on destruction (and on demand), making the file complete the
-/// moment the sink goes out of scope even when the process aborts later.
-class CsvTrace final : public TraceSink {
- public:
-  /// The stream must outlive this sink. Writes a header immediately.
-  explicit CsvTrace(std::ostream& out);
-  ~CsvTrace() override;
-  void OnEvent(const TraceEvent& event) override;
-  void Flush();
-
- private:
-  std::ostream& out_;
 };
 
 /// One-line human-readable rendering, e.g. "r12 n3 listen -> collision".

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "contract_mode_guard.hpp"
 #include "core/runner.hpp"
 #include "radio/channel.hpp"
 #include "radio/graph_generators.hpp"
@@ -14,17 +15,6 @@
 
 namespace emis {
 namespace {
-
-/// RAII guard: forces a contract mode for one test and restores abort (the
-/// suite default) afterwards, so test order cannot leak modes.
-class ModeGuard {
- public:
-  explicit ModeGuard(ContractMode mode) {
-    contracts::SetMode(mode);
-    contracts::ResetAuditFiringCount();
-  }
-  ~ModeGuard() { contracts::SetMode(ContractMode::kAbort); }
-};
 
 TEST(ContractMode, ParseRecognizesAllLevels) {
   EXPECT_EQ(contracts::ParseMode("off"), ContractMode::kOff);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "contract_mode_guard.hpp"
 #include "core/contracts.hpp"
 #include "core/flat_mis.hpp"
 #include "core/mis_cd.hpp"
@@ -259,6 +260,7 @@ TEST(FlatEngine, SweepPointsIdenticalAcrossEngines) {
 }
 
 TEST(FlatEngine, SpawnEnforcesConfiguredEngine) {
+  const ModeGuard pin_abort(ContractMode::kAbort);  // the checks must throw
   const Graph g = gen::Path(4);
   std::vector<MisStatus> out(g.NumNodes(), MisStatus::kUndecided);
 

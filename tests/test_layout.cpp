@@ -108,8 +108,8 @@ TEST(ColdContextLayout, SizeAlignmentAndFieldOrder) {
   EXPECT_LT(reinterpret_cast<const char*>(&cold.resume_point),
             reinterpret_cast<const char*>(&cold.energy));
   EXPECT_LT(reinterpret_cast<const char*>(&cold.energy),
-            reinterpret_cast<const char*>(&cold.timeline));
-  EXPECT_LT(reinterpret_cast<const char*>(&cold.timeline),
+            reinterpret_cast<const char*>(&cold.phase_notes));
+  EXPECT_LT(reinterpret_cast<const char*>(&cold.phase_notes),
             reinterpret_cast<const char*>(&cold.id));
 }
 

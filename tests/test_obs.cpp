@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "contract_mode_guard.hpp"
 #include "core/runner.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl_trace.hpp"
@@ -199,9 +202,15 @@ TEST(PhaseTimeline, ResidualProbeRunsOncePerBoundary) {
     ++probes;
     return residual;
   });
-  tl.Annotate("p", 0, 0);      // probe #1 (open)
+  tl.Annotate("p", 0, 0);      // boundary at round 0: residual pending
+  EXPECT_TRUE(tl.ResidualPending());
+  EXPECT_EQ(probes, 0);
+  tl.ResolveResidual();        // probe #1 (open)
   residual = 40;
-  tl.Annotate("p", 1, 10);     // probe #2 (shared by close+open)
+  tl.Annotate("p", 1, 10);
+  tl.ResolveResidual();        // probe #2 (shared by close+open)
+  tl.ResolveResidual();        // nothing pending: no probe
+  EXPECT_FALSE(tl.ResidualPending());
   residual = 0;
   tl.Close(20);                // probe #3
   EXPECT_EQ(probes, 3);
@@ -212,6 +221,47 @@ TEST(PhaseTimeline, ResidualProbeRunsOncePerBoundary) {
   EXPECT_EQ(spans[0].residual_edges_end, 40u);
   EXPECT_EQ(spans[1].residual_edges_begin, 40u);
   EXPECT_EQ(spans[1].residual_edges_end, 0u);
+}
+
+TEST(PhaseTimeline, BoundaryResidualIsReadAtResolutionNotFirstAnnotation) {
+  // Nodes stepping into a boundary round decide one after another; the
+  // residual a boundary reports is the probe's value once all of them were
+  // committed, and the spans it closes reach the hook only then, in close
+  // order.
+  obs::PhaseTimeline tl;
+  std::uint64_t residual = 100;
+  tl.SetResidualProbe([&] { return residual; });
+  std::vector<std::string> hooked;
+  tl.SetSpanHook([&](const obs::PhaseSpan& span) { hooked.push_back(span.label); });
+  tl.Annotate("p", 0, 0);
+  tl.AnnotateSub("a", obs::PhaseTimeline::kNoIndex, 0);
+  tl.ResolveResidual();
+  residual = 60;
+  tl.Annotate("p", 1, 10);  // first annotator of the boundary at round 10
+  // The sub-span carries no residual and is final at once; "p 0" waits.
+  EXPECT_EQ(hooked, std::vector<std::string>{"a"});
+  residual = 7;             // later steps into round 10 decide more nodes
+  tl.Annotate("p", 1, 10);
+  tl.ResolveResidual();
+  EXPECT_EQ(hooked, (std::vector<std::string>{"a", "p 0"}));
+  tl.Close(15);
+  ASSERT_EQ(tl.Spans().size(), 3u);
+  EXPECT_EQ(tl.Spans()[1].residual_edges_begin, 100u);
+  EXPECT_EQ(tl.Spans()[1].residual_edges_end, 7u);
+  EXPECT_EQ(tl.Spans()[2].residual_edges_begin, 7u);
+  EXPECT_EQ(hooked.size(), 3u);
+}
+
+TEST(PhaseTimeline, LaterRoundMustNotAnnotateOverAPendingBoundary) {
+  const ModeGuard pin_abort(ContractMode::kAbort);
+  obs::PhaseTimeline tl;
+  tl.SetResidualProbe([] { return std::uint64_t{1}; });
+  tl.Annotate("p", 0, 4);
+  EXPECT_THROW(tl.AnnotateSub("a", obs::PhaseTimeline::kNoIndex, 5),
+               PreconditionError);
+  EXPECT_THROW(tl.Annotate("p", 1, 5), PreconditionError);
+  tl.ResolveResidual();
+  EXPECT_NO_THROW(tl.Annotate("p", 1, 5));
 }
 
 TEST(PhaseTimeline, CloseIsIdempotentAndClearResets) {
@@ -670,9 +720,9 @@ TEST(TraceSink, RingTraceReportsDropsThroughBaseInterface) {
   // Through the base pointer — the path drivers use to fill the gauge.
   const TraceSink* sink = &ring;
   EXPECT_EQ(sink->DroppedCount(), 6u);
-  std::ostringstream csv_out;
-  CsvTrace csv(csv_out);  // unbounded sinks report zero by default
-  EXPECT_EQ(static_cast<const TraceSink&>(csv).DroppedCount(), 0u);
+  std::ostringstream jsonl_out;
+  obs::JsonlTraceSink jsonl(jsonl_out);  // unbounded sinks report zero by default
+  EXPECT_EQ(static_cast<const TraceSink&>(jsonl).DroppedCount(), 0u);
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(Pool, BarrierWaitsIsMonotone) {
     par::ParallelFor(4, 64, [](std::uint64_t i, unsigned) {
       volatile std::uint64_t sink = 0;
       const std::uint64_t spin = i % 16 == 0 ? 20000 : 1;
-      for (std::uint64_t k = 0; k < spin; ++k) sink += k;
+      for (std::uint64_t k = 0; k < spin; ++k) sink = sink + k;
     });
   }
   EXPECT_GE(par::BarrierWaits(), before);

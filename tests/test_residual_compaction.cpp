@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "contract_mode_guard.hpp"
 #include "core/contracts.hpp"
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
@@ -556,6 +557,7 @@ proc::Task<void> RetireThenSleep(NodeApi api) {
 }
 
 TEST(ResidualCompaction, RetiredNodeActingTripsInvariant) {
+  const ModeGuard pin_abort(ContractMode::kAbort);  // the check must throw
   const Graph g = gen::Path(2);
   Scheduler sched(g, {}, 1);
   // The retire request is consumed before the resume slice's action is
@@ -599,6 +601,7 @@ TEST(ResidualCompaction, FinishingImpliesRetirement) {
 }
 
 TEST(ResidualCompaction, CompactionOffDisablesOverlayButKeepsInvariant) {
+  const ModeGuard pin_abort(ContractMode::kAbort);  // the check must throw
   const Graph g = gen::Path(2);
   Scheduler sched(g, {.compaction = false}, 1);
   EXPECT_EQ(sched.Residual(), nullptr);

@@ -14,12 +14,15 @@
 //     / chan.push_rounds / chan.pull_rounds for both engines at shards 1-4
 //     on a graph dense enough that the row-owner retire pass and the
 //     residual copy dispatch to the pool;
-//   * emis-run-report/1 documents are identical across shard counts outside
-//     the declared cost observables (run.shards, chan.merge_words,
-//     parallel.* gauges, wall-clock timers, alloc), and run.shards reports
-//     the shard count that ran, not the one requested;
-//   * EMIS_SHARDS / EMIS_ENGINE typos fail closed (exit 2), never run on
-//     the default.
+//   * observed runs (timeline, ledger, telemetry) produce emis-run-report/1
+//     documents, telemetry streams and flamegraph lines identical across
+//     shard counts outside the declared cost observables (run.shards,
+//     chan.merge_words, parallel.* gauges, wall-clock timers, alloc), and
+//     run.shards reports the shard count that ran, not the one requested;
+//   * each phase's residual_edges_end is the residual at its boundary
+//     round, on both engines and at 1 and 4 shards;
+//   * EMIS_SHARDS / EMIS_ENGINE typos and unknown emis_cli flags fail
+//     closed (exit 2), never run on the default.
 // Format contract: pack -> mmap round-trips the exact CSR arrays, and the
 // loader rejects truncation, bad magic, bad version, foreign endianness and
 // header sizes whose arithmetic overflows.
@@ -31,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,11 +42,15 @@
 #include <sys/wait.h>
 
 #include "core/contracts.hpp"
+#include "core/mis_cd.hpp"
+#include "core/mis_nocd.hpp"
 #include "core/runner.hpp"
+#include "obs/energy_ledger.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_timeline.hpp"
 #include "obs/report.hpp"
+#include "obs/stream_sink.hpp"
 #include "radio/graph.hpp"
 #include "radio/graph_generators.hpp"
 #include "radio/graph_io.hpp"
@@ -429,24 +437,31 @@ TEST(ShardedRun, ShardCountExceedingNodesIsClamped) {
 // ---------------------------------------------------------------------------
 // Reports across shard counts
 
-/// emis-run-report/1 for a flat run at `shards`, minus the declared cost
-/// observables: run.shards, the chan.merge_words / parallel.* gauges, the
-/// wall-clock timers and the alloc section. What remains must be identical
-/// at any shard count.
-std::string NormalizedShardReport(const Graph& g, unsigned shards) {
+/// An observed flat run at `shards` — timeline, ledger and telemetry all
+/// attached — rendered as its emis-run-report/1 minus the declared cost
+/// observables (run.shards, the chan.merge_words / parallel.* gauges, the
+/// wall-clock timers and the alloc section), then its telemetry stream and
+/// its flamegraph lines. What remains must be identical at any shard count.
+std::string NormalizedShardReport(const Graph& g, MisAlgorithm algorithm,
+                                  unsigned shards) {
   obs::MetricsRegistry metrics;
   obs::PhaseTimeline timeline;
+  obs::EnergyLedger ledger(g.NumNodes());
+  obs::StreamSink telemetry(obs::StreamSinkConfig{.heartbeat_every = 64});
   MisRunConfig cfg;
-  cfg.algorithm = MisAlgorithm::kCd;
+  cfg.algorithm = algorithm;
   cfg.seed = 21;
   cfg.engine = ExecutionEngine::kFlat;
   cfg.shards = shards;
   cfg.metrics = &metrics;
-  // No timeline: a timeline forces the serial step path (phase probes
-  // observe mid-round state), which is not what this test exercises.
+  cfg.timeline = &timeline;
+  cfg.ledger = &ledger;
+  cfg.telemetry = &telemetry;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid());
-  obs::JsonValue doc = obs::BuildRunReport({.algorithm = "cd",
+  EXPECT_EQ(telemetry.DroppedEvents(), 0u);
+  const std::string name(ToString(algorithm));
+  obs::JsonValue doc = obs::BuildRunReport({.algorithm = name,
                                             .graph = "er-shard-parity",
                                             .preset = "practical",
                                             .seed = 21,
@@ -458,11 +473,14 @@ std::string NormalizedShardReport(const Graph& g, unsigned shards) {
                                             .mis_size = r.MisSize(),
                                             .stats = &r.stats,
                                             .energy = &r.energy,
-                                            .metrics = &metrics});
+                                            .timeline = &timeline,
+                                            .metrics = &metrics,
+                                            .ledger = &ledger});
   EXPECT_EQ(obs::ValidateRunReport(doc), "");
   // The run block must record what actually executed.
   EXPECT_EQ(doc.Find("run")->Find("shards")->AsNumber(),
             static_cast<double>(shards));
+  EXPECT_NE(doc.Find("energy_attribution"), nullptr);
   obs::JsonValue normalized = obs::JsonValue::MakeObject();
   for (const auto& [key, value] : doc.Entries()) {
     if (key == "alloc") continue;
@@ -494,15 +512,111 @@ std::string NormalizedShardReport(const Graph& g, unsigned shards) {
     }
     normalized.Set("metrics", std::move(metrics_doc));
   }
-  return normalized.Dump(2);
+  std::ostringstream flame;
+  ledger.WriteCollapsed(flame, name);
+  return normalized.Dump(2) + "\n--- telemetry\n" + telemetry.DrainToString() +
+         "--- flamegraph\n" + flame.str();
 }
 
 TEST(ShardedRun, ReportsIdenticalAcrossShardCountsOutsideCostKeys) {
+  // Large enough that the boundary passes, where every undecided node
+  // annotates its phase, reach kParallelMinNodes and step on the pool.
   Rng rng(77);
-  const Graph g = gen::ErdosRenyi(72, 0.08, rng);
-  const std::string reference = NormalizedShardReport(g, 1);
-  EXPECT_EQ(NormalizedShardReport(g, 2), reference);
-  EXPECT_EQ(NormalizedShardReport(g, 4), reference);
+  const Graph g = gen::ErdosRenyi(4096, 0.01, rng);
+  for (MisAlgorithm algorithm : {MisAlgorithm::kCd, MisAlgorithm::kNoCd}) {
+    const std::string reference = NormalizedShardReport(g, algorithm, 1);
+    EXPECT_NE(reference.find("\"event\":\"phase\""), std::string::npos);
+    EXPECT_EQ(NormalizedShardReport(g, algorithm, 2), reference)
+        << ToString(algorithm);
+    EXPECT_EQ(NormalizedShardReport(g, algorithm, 4), reference)
+        << ToString(algorithm);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The phase residual is the boundary residual
+
+/// Edges whose endpoints are both undecided: what RunMis's timeline probe
+/// counts.
+std::uint64_t UndecidedEdges(const Graph& g, const std::vector<MisStatus>& status) {
+  std::uint64_t edges = 0;
+  for (const Edge& e : g.EdgeList()) {
+    edges += status[e.u] == MisStatus::kUndecided &&
+             status[e.v] == MisStatus::kUndecided;
+  }
+  return edges;
+}
+
+/// The level-0 spans of an observed RunMis.
+std::vector<obs::PhaseSpan> ObservedPhases(const Graph& g, MisRunConfig cfg) {
+  obs::PhaseTimeline timeline;
+  cfg.timeline = &timeline;
+  const MisRunResult r = RunMis(g, cfg);
+  EXPECT_TRUE(r.Valid());
+  std::vector<obs::PhaseSpan> phases;
+  for (const obs::PhaseSpan& span : timeline.Spans()) {
+    if (span.level == 0) phases.push_back(span);
+  }
+  return phases;
+}
+
+TEST(ShardedRun, PhaseResidualIsTheBoundaryResidual) {
+  // Each level-0 span's residual_edges_end must be the residual once every
+  // node stepped into its end round r has decided, whichever node annotated
+  // first. The truth comes from an unobserved run of the same protocol
+  // driven with RunUntil (the E20 decay leg's method) to r + 1: RunUntil(r)
+  // stops before the wakes due at r are stepped, and no-CD nodes that slept
+  // out a shallow check decide in that wake; round r itself, the first
+  // competition round of the next phase, decides nothing in either
+  // protocol. n = 4096 puts the boundary passes over kParallelMinNodes at
+  // 4 shards.
+  Rng rng(11);
+  const Graph g = gen::ErdosRenyi(4096, 0.01, rng);
+  const NodeId n = g.NumNodes();
+  const CdParams cd = CdParams::Practical(n);
+  const NoCdParams nocd = NoCdParams::Practical(n, g.MaxDegree());
+  for (MisAlgorithm algorithm : {MisAlgorithm::kCd, MisAlgorithm::kNoCd}) {
+    const bool is_cd = algorithm == MisAlgorithm::kCd;
+    MisRunConfig cfg{.algorithm = algorithm, .seed = 1};
+    if (is_cd) {
+      cfg.cd_params = cd;
+    } else {
+      cfg.nocd_params = nocd;
+    }
+    cfg.engine = ExecutionEngine::kCoroutine;
+    cfg.shards = 1;
+    const std::vector<obs::PhaseSpan> phases = ObservedPhases(g, cfg);
+    ASSERT_GE(phases.size(), 2u) << ToString(algorithm);
+
+    std::vector<MisStatus> status(n, MisStatus::kUndecided);
+    Scheduler truth(g, {.model = ModelFor(algorithm)}, cfg.seed);
+    truth.Spawn(is_cd ? MisCdProtocol(cd, &status) : MisNoCdProtocol(nocd, &status));
+    for (const obs::PhaseSpan& span : phases) {
+      ASSERT_TRUE(span.has_residual) << span.label;
+      truth.RunUntil(span.end_round + 1);
+      EXPECT_EQ(span.residual_edges_end, UndecidedEdges(g, status))
+          << ToString(algorithm) << " " << span.label << " ends at round "
+          << span.end_round;
+    }
+
+    // Every engine and shard count reports the same spans.
+    for (unsigned shards : {1u, 4u}) {
+      cfg.engine = ExecutionEngine::kFlat;
+      cfg.shards = shards;
+      const std::vector<obs::PhaseSpan> flat = ObservedPhases(g, cfg);
+      ASSERT_EQ(flat.size(), phases.size()) << shards << " shards";
+      for (std::size_t i = 0; i < flat.size(); ++i) {
+        EXPECT_EQ(flat[i].label, phases[i].label);
+        EXPECT_EQ(flat[i].end_round, phases[i].end_round);
+        EXPECT_EQ(flat[i].residual_edges_begin, phases[i].residual_edges_begin)
+            << ToString(algorithm) << " " << flat[i].label << ", " << shards
+            << " shards";
+        EXPECT_EQ(flat[i].residual_edges_end, phases[i].residual_edges_end)
+            << ToString(algorithm) << " " << flat[i].label << ", " << shards
+            << " shards";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -583,6 +697,35 @@ TEST(ShardedRun, EnvironmentTyposExitWithUsageError) {
     const int status = std::system(cmd.c_str());
     ASSERT_TRUE(WIFEXITED(status)) << cmd;
     EXPECT_EQ(WEXITSTATUS(status), 0) << cmd;
+  }
+}
+
+TEST(ShardedRun, FlagTyposExitWithUsageError) {
+  // A removed or misspelt flag must fail the command (exit 2) and name the
+  // flag, never run on defaults: `--shard 4` would otherwise run one shard.
+  const struct {
+    const char* args;
+    const char* flag;
+  } kCases[] = {
+      {"run --graph path:n=3 --alg cd --resolution pull", "--resolution"},
+      {"run --graph path:n=3 --alg cd --engine flat --shard 4", "--shard"},
+      {"run --graph path:n=3 --alg cd --trace trace.csv", "--trace"},
+      {"sweep --alg cd --family er --sizes 16 --seeds 1 --graph path:n=3", "--graph"},
+  };
+  for (const auto& c : kCases) {
+    const std::string cmd =
+        std::string(EMIS_CLI_PATH) + " " + c.args + " --quiet 2>&1";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string output;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    EXPECT_NE(output.find(std::string("unknown flag ") + c.flag + " "),
+              std::string::npos)
+        << cmd << "\n" << output;
   }
 }
 

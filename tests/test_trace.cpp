@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/runner.hpp"
 #include "radio/graph_generators.hpp"
 
@@ -42,33 +40,6 @@ TEST(RingTrace, CountsDroppedEvents) {
   for (Round r = 0; r < 5; ++r) trace.OnEvent(TransmitEvent(r, 0, 1));
   EXPECT_EQ(trace.DroppedCount(), 2u);
   EXPECT_EQ(trace.DroppedCount(), trace.TotalSeen() - trace.Events().size());
-}
-
-TEST(CsvTrace, FlushesOnDestruction) {
-  std::ostringstream out;
-  {
-    CsvTrace trace(out);
-    trace.OnEvent(TransmitEvent(1, 2, 3));
-    trace.Flush();  // explicit flush mid-stream is also allowed
-  }
-  // Two complete lines (header + row), each newline-terminated.
-  const std::string csv = out.str();
-  EXPECT_FALSE(csv.empty());
-  EXPECT_EQ(csv.back(), '\n');
-  EXPECT_NE(csv.find("1,2,transmit,3"), std::string::npos);
-}
-
-TEST(CsvTrace, WritesHeaderAndRows) {
-  std::ostringstream out;
-  CsvTrace trace(out);
-  trace.OnEvent(TransmitEvent(3, 7, 42));
-  trace.OnEvent(ListenEvent(4, 8, {ReceptionKind::kMessage, 42}));
-  trace.OnEvent(ListenEvent(5, 9, {ReceptionKind::kCollision, 0}));
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("round,node,action"), std::string::npos);
-  EXPECT_NE(csv.find("3,7,transmit,42"), std::string::npos);
-  EXPECT_NE(csv.find("4,8,listen,,message,42"), std::string::npos);
-  EXPECT_NE(csv.find("5,9,listen,,collision,"), std::string::npos);
 }
 
 TEST(TraceToString, Renders) {

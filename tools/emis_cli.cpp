@@ -7,18 +7,21 @@
 //   emis_cli run   --graph <spec | file:PATH | csr:PATH> --alg <name>
 //                  [--seed S] [--preset practical|theory] [--delta-unknown]
 //                  [--compaction on|off] [--engine coroutine|flat]
-//                  [--shards N]
-//                  [--trace FILE.csv] [--trace-jsonl FILE.jsonl]
+//                  [--shards N] [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
 //                  --sizes 64,128,... [--seeds K] [--delta-unknown]
-//                  [--compaction on|off] [--engine coroutine|flat]
+//                  [--avg-degree D] [--compaction on|off]
+//                  [--engine coroutine|flat]
 //                  [--shards N] [--jobs N] [--report-out FILE.json]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli validate-report FILE.json
+//
+// Each command accepts exactly the flags listed for it; any other `--flag`
+// is a usage error.
 //
 // Exit status: 0 on success (and valid MIS for `run`, conforming document
 // for `validate-report`, requested help), 1 on invalid MIS / non-conforming
@@ -30,8 +33,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -73,23 +78,51 @@ struct Flags {
   }
 };
 
-Flags Parse(int argc, char** argv, int first) {
+/// The flags one command accepts: `values` consume the next argument,
+/// `switches` take none.
+struct FlagSet {
+  std::string command;
+  std::set<std::string, std::less<>> values;
+  std::set<std::string, std::less<>> switches;
+};
+
+const FlagSet kGenFlags{"gen", {"seed", "out"}, {}};
+const FlagSet kGraphPackFlags{"graph pack", {"graph", "seed", "out"}, {"quiet"}};
+const FlagSet kRunFlags{"run",
+                        {"graph", "alg", "seed", "preset", "compaction", "engine",
+                         "shards", "trace-jsonl", "report-out", "flamegraph-out",
+                         "telemetry-out", "heartbeat-every", "metrics-text"},
+                        {"delta-unknown", "quiet"}};
+const FlagSet kSweepFlags{"sweep",
+                          {"alg", "family", "sizes", "seeds", "avg-degree",
+                           "compaction", "engine", "shards", "jobs", "report-out",
+                           "telemetry-out", "heartbeat-every", "metrics-text"},
+                          {"delta-unknown", "quiet"}};
+const FlagSet kValidateReportFlags{"validate-report", {}, {}};
+
+/// Parses argv[first..] against the command's flag set: a flag outside it
+/// is a usage error naming the flag (a typo never runs on defaults).
+Flags Parse(int argc, char** argv, int first, const FlagSet& accepted) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string key = arg.substr(2);
-      // Boolean flags take no value; everything else consumes the next arg.
-      if (key == "delta-unknown" || key == "quiet") {
-        flags.named[key] = "1";
-      } else if (i + 1 < argc) {
-        flags.named[key] = argv[++i];
-      } else {
-        throw PreconditionError("flag --" + key + " needs a value");
-      }
-    } else {
-      flags.positional.push_back(std::move(arg));
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      flags.positional.emplace_back(arg);
+      continue;
     }
+    const std::string_view key = arg.substr(2);
+    if (accepted.switches.contains(key)) {
+      flags.named.insert_or_assign(std::string(key), std::string("1"));
+      continue;
+    }
+    if (!accepted.values.contains(key)) {
+      throw PreconditionError("unknown flag " + std::string(arg) + " for `" +
+                              accepted.command + "`");
+    }
+    if (i + 1 >= argc) {
+      throw PreconditionError("flag " + std::string(arg) + " needs a value");
+    }
+    flags.named.insert_or_assign(std::string(key), std::string(argv[++i]));
   }
   return flags;
 }
@@ -206,18 +239,9 @@ int CmdRun(const Flags& flags) {
   cfg.shards = ShardsFlag(flags);
   if (flags.Has("delta-unknown")) cfg.delta_estimate = g.NumNodes();
 
-  std::ofstream trace_file;
-  std::optional<CsvTrace> trace;
-  if (flags.Has("trace")) {
-    trace_file.open(flags.Get("trace"));
-    EMIS_REQUIRE(trace_file.good(), "cannot write trace file");
-    trace.emplace(trace_file);
-    cfg.trace = &*trace;
-  }
   std::ofstream jsonl_file;
   std::optional<obs::JsonlTraceSink> jsonl_trace;
   if (flags.Has("trace-jsonl")) {
-    EMIS_REQUIRE(!cfg.trace, "--trace and --trace-jsonl are mutually exclusive");
     jsonl_file.open(flags.Get("trace-jsonl"));
     EMIS_REQUIRE(jsonl_file.good(), "cannot write jsonl trace file");
     jsonl_trace.emplace(jsonl_file);
@@ -509,7 +533,7 @@ void PrintUsage() {
       "  emis_cli run --graph <spec|file:PATH|csr:PATH> --alg <name> [--seed S]\n"
       "               [--preset practical|theory] [--delta-unknown]\n"
       "               [--compaction on|off] [--engine coroutine|flat] [--shards N]\n"
-      "               [--trace FILE.csv] [--trace-jsonl FILE.jsonl]\n"
+      "               [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
       "               [--metrics-text FILE.prom] [--quiet]\n"
@@ -561,13 +585,14 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "unknown graph subcommand (expected `graph pack`)\n");
         return Usage();
       }
-      return CmdGraphPack(Parse(argc, argv, 3));
+      return CmdGraphPack(Parse(argc, argv, 3, kGraphPackFlags));
     }
-    const Flags flags = Parse(argc, argv, 2);
-    if (cmd == "gen") return CmdGen(flags);
-    if (cmd == "run") return CmdRun(flags);
-    if (cmd == "sweep") return CmdSweep(flags);
-    if (cmd == "validate-report") return CmdValidateReport(flags);
+    if (cmd == "gen") return CmdGen(Parse(argc, argv, 2, kGenFlags));
+    if (cmd == "run") return CmdRun(Parse(argc, argv, 2, kRunFlags));
+    if (cmd == "sweep") return CmdSweep(Parse(argc, argv, 2, kSweepFlags));
+    if (cmd == "validate-report") {
+      return CmdValidateReport(Parse(argc, argv, 2, kValidateReportFlags));
+    }
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     return Usage();
   } catch (const std::exception& e) {

@@ -1326,6 +1326,11 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 ///                        merged serially in fixed shard order (MergeTxShard).
 ///   shard_tx_count_ /    per-shard counters, one writer each, committed
 ///   shard_listen_count_  once per round by CommitShardTotals.
+///   phase_notes_         per-shard phase-annotation buffers: a step appends
+///                        only to its node's shard buffer (the node's cold
+///                        context points there), one writer per shard, and
+///                        FileAction replays them into the timeline serially
+///                        in batch order.
 ///   rows_ /              ResidualGraph's row metadata and mutable adjacency
 ///   adjacency_           (radio/graph.cpp). The residual copy writes each
 ///                        row range once. The row-owner retire pass
@@ -1361,7 +1366,7 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 inline const std::set<std::string, std::less<>>& ParallelWriteSanctioned() {
   static const std::set<std::string, std::less<>> kSanctioned = {
       "ctx_hot_", "ctx_cold_", "tx_buffers_", "shard_tx_count_",
-      "shard_listen_count_", "rows_", "adjacency_", "edge_slots",
+      "shard_listen_count_", "phase_notes_", "rows_", "adjacency_", "edge_slots",
       "part_cursors", "csr_adjacency", "deduped_degree"};
   return kSanctioned;
 }
@@ -1671,14 +1676,14 @@ inline void RuleTransitiveTaint(const Corpus& corpus, const SymbolIndex& index,
 // --- rule: observable-commit-order ------------------------------------------
 
 /// Calls whose global order IS the observable contract: file actions, trace
-/// and telemetry emission, energy-ledger charges, shard merges, and Rng
-/// draws (RngDrawNames). Reaching one from inside a parallel region outside
+/// and telemetry emission, energy-ledger charges, shard merges, phase
+/// timeline annotations, and Rng draws (RngDrawNames). Reaching one from inside a parallel region outside
 /// a sanctioned serial-commit function reorders artifacts under --jobs.
 inline const std::set<std::string, std::less<>>& ObservableSinkNames() {
   static const std::set<std::string, std::less<>> kSinks = {
       "FileAction", "OnEvent", "Emit", "EmitControl", "EmitHeartbeat",
       "EmitRoundTrace", "CommitShardTotals", "ChargeTransmit", "ChargeListen",
-      "ChargeAwake", "MergeTxShard"};
+      "ChargeAwake", "MergeTxShard", "Annotate", "AnnotateSub"};
   return kSinks;
 }
 
@@ -1689,7 +1694,11 @@ inline const std::set<std::string, std::less<>>& ObservableSinkNames() {
 ///   ShardListenPass      the serial MergeTxShard/CommitShardTotals pass
 ///                        after the join commits the observables.
 ///   Step                 flat-protocol per-node steps draw only from the
-///                        node's OWN Rng stream and write its own lane.
+///                        node's OWN Rng stream, write its own lane, and
+///                        stage phase annotations in its shard's buffer;
+///                        they never reach the timeline — FileAction
+///                        replays the buffers (Annotate / AnnotateSub)
+///                        serially in batch order after the join.
 ///   RunMis               a whole run is trial-isolated inside a sweep —
 ///                        every sink it reaches is owned by the trial and
 ///                        merged serially in (size, seed) order afterwards.
