@@ -139,48 +139,4 @@ void EnergyLedger::Clear() {
   for (std::vector<Cell>& cells : nodes_) cells.clear();
 }
 
-void AttributionTable::Accumulate(const EnergyLedger& ledger) {
-  for (const AttributionRow& r : ledger.Table()) {
-    if (r.AwakeRounds() == 0 && r.nodes_charged == 0) continue;
-    Row& row = rows_[Key(r.phase, r.sub)];
-    row.transmit_rounds += r.transmit_rounds;
-    row.listen_rounds += r.listen_rounds;
-    row.nodes_charged += r.nodes_charged;
-    row.max_awake = std::max(row.max_awake, r.max_awake);
-    row.trials += 1;
-  }
-}
-
-void AttributionTable::MergeFrom(const AttributionTable& other) {
-  for (const auto& [key, r] : other.rows_) {
-    Row& row = rows_[key];
-    row.transmit_rounds += r.transmit_rounds;
-    row.listen_rounds += r.listen_rounds;
-    row.nodes_charged += r.nodes_charged;
-    row.max_awake = std::max(row.max_awake, r.max_awake);
-    row.trials += r.trials;
-  }
-}
-
-std::string AttributionTable::ToText() const {
-  std::string out;
-  for (const auto& [key, r] : rows_) {
-    out += key.first.empty() ? "(unattributed)" : key.first;
-    out += '|';
-    out += key.second;
-    out += ' ';
-    out += std::to_string(r.transmit_rounds);
-    out += ' ';
-    out += std::to_string(r.listen_rounds);
-    out += ' ';
-    out += std::to_string(r.nodes_charged);
-    out += ' ';
-    out += std::to_string(r.max_awake);
-    out += ' ';
-    out += std::to_string(r.trials);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace emis::obs

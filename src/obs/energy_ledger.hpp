@@ -23,9 +23,6 @@
 //   * WriteCollapsed(): collapsed-stack text ("root;phase;sub count" lines),
 //     the input format of standard flamegraph tooling (flamegraph.pl,
 //     inferno, speedscope), weighted by awake rounds.
-//   * AttributionTable: the mergeable cross-trial aggregate used by sweeps;
-//     integral sums only, so merging in fixed trial order is bit-stable at
-//     any job count.
 #pragma once
 
 #include <cstdint>
@@ -128,40 +125,6 @@ class EnergyLedger {
   /// Node-major sparse charges: nodes_[v] lists the keys v was charged
   /// under, in v's own chronological order.
   std::vector<std::vector<Cell>> nodes_;
-};
-
-/// Cross-trial attribution aggregate for sweeps. Rows are keyed sums of
-/// integral fields only, so accumulating per-trial tables in (size, seed)
-/// order yields bit-identical content at any job count (the PR-2 shard-and-
-/// merge discipline). Per-run percentiles do not merge exactly and are
-/// deliberately absent here — they live in the single-run AttributionRow.
-class AttributionTable {
- public:
-  struct Row {
-    std::uint64_t transmit_rounds = 0;
-    std::uint64_t listen_rounds = 0;
-    std::uint64_t nodes_charged = 0;
-    std::uint64_t max_awake = 0;  ///< max per-node awake in any one trial
-    std::uint64_t trials = 0;     ///< trials that charged this key
-  };
-  using Key = std::pair<std::string, std::string>;  ///< (phase, sub)
-
-  /// Folds one run's ledger into this table.
-  void Accumulate(const EnergyLedger& ledger);
-
-  /// Keyed merge; commutative over disjoint trials but always invoked in
-  /// trial order by RunSweep so even max fields are order-independent.
-  void MergeFrom(const AttributionTable& other);
-
-  const std::map<Key, Row>& Rows() const noexcept { return rows_; }
-  bool Empty() const noexcept { return rows_.empty(); }
-
-  /// Canonical text rendering ("phase|sub tx lx nodes max trials" per row,
-  /// key-sorted) — what the --jobs golden tests compare.
-  std::string ToText() const;
-
- private:
-  std::map<Key, Row> rows_;
 };
 
 }  // namespace emis::obs

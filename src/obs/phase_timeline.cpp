@@ -147,43 +147,4 @@ void PhaseTimeline::Clear() {
   pending_spans_.clear();
 }
 
-void PhaseAggregate::Accumulate(const PhaseTimeline& timeline) {
-  for (const PhaseSpan& s : timeline.Spans()) {
-    Row& row = rows_[Key(s.label, s.level)];
-    row.spans += 1;
-    row.rounds += s.Rounds();
-    row.transmit_rounds += s.transmit_rounds;
-    row.listen_rounds += s.listen_rounds;
-  }
-}
-
-void PhaseAggregate::MergeFrom(const PhaseAggregate& other) {
-  for (const auto& [key, r] : other.rows_) {
-    Row& row = rows_[key];
-    row.spans += r.spans;
-    row.rounds += r.rounds;
-    row.transmit_rounds += r.transmit_rounds;
-    row.listen_rounds += r.listen_rounds;
-  }
-}
-
-std::string PhaseAggregate::ToText() const {
-  std::string out;
-  for (const auto& [key, r] : rows_) {
-    out += key.first;
-    out += '|';
-    out += std::to_string(key.second);
-    out += ' ';
-    out += std::to_string(r.spans);
-    out += ' ';
-    out += std::to_string(r.rounds);
-    out += ' ';
-    out += std::to_string(r.transmit_rounds);
-    out += ' ';
-    out += std::to_string(r.listen_rounds);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace emis::obs

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -164,37 +163,6 @@ class PhaseTimeline {
   bool pending_ = false;
   Round pending_round_ = 0;
   std::vector<PendingSpan> pending_spans_;
-};
-
-/// Cross-trial aggregate of closed spans, keyed by (label, level): span
-/// count, rounds and transmit/listen sums. All fields are integral keyed
-/// sums, so accumulating per-trial aggregates in (size, seed) order yields
-/// bit-identical content at any job count — the "merged timeline" view of a
-/// sweep (per-trial timelines themselves cannot merge: rounds are relative
-/// to each trial's own clock).
-class PhaseAggregate {
- public:
-  struct Row {
-    std::uint64_t spans = 0;
-    std::uint64_t rounds = 0;
-    std::uint64_t transmit_rounds = 0;
-    std::uint64_t listen_rounds = 0;
-  };
-  using Key = std::pair<std::string, std::uint32_t>;  ///< (label, level)
-
-  /// Folds one run's closed spans into this aggregate.
-  void Accumulate(const PhaseTimeline& timeline);
-  void MergeFrom(const PhaseAggregate& other);
-
-  const std::map<Key, Row>& Rows() const noexcept { return rows_; }
-  bool Empty() const noexcept { return rows_.empty(); }
-
-  /// Canonical text rendering ("label|level spans rounds tx lx" per row,
-  /// key-sorted) — what the --jobs golden tests compare.
-  std::string ToText() const;
-
- private:
-  std::map<Key, Row> rows_;
 };
 
 }  // namespace emis::obs

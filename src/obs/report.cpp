@@ -81,30 +81,6 @@ JsonValue PhasesJson(const PhaseTimeline& timeline) {
   return arr;
 }
 
-/// Prometheus metric-name mangling: `emis_` prefix, non-alphanumerics
-/// folded to '_' ("chan.live_edges" -> "emis_chan_live_edges").
-std::string PromName(std::string_view name) {
-  std::string out = "emis_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-/// Exposition value formatting: integral values print without a fraction so
-/// counters stay exact; everything else uses max round-trip precision.
-std::string PromValue(double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      v >= -9.2e18 && v <= 9.2e18) {
-    return std::to_string(static_cast<std::int64_t>(v));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 // --- validation helpers ----------------------------------------------------
 
 std::string KindName(JsonValue::Kind k) {
@@ -217,45 +193,6 @@ JsonValue BuildAttributionJson(const EnergyLedger& ledger) {
   doc.Set("total_listen", JsonValue(total_lx));
   doc.Set("keys", std::move(keys));
   return doc;
-}
-
-void WriteMetricsText(std::ostream& out, const MetricsRegistry& registry) {
-  for (const auto& [name, c] : registry.Counters()) {
-    const std::string prom = PromName(name);
-    out << "# TYPE " << prom << " counter\n"
-        << prom << ' ' << c.Value() << '\n';
-  }
-  for (const auto& [name, g] : registry.Gauges()) {
-    const std::string prom = PromName(name);
-    out << "# TYPE " << prom << " gauge\n"
-        << prom << ' ' << PromValue(g.Value()) << '\n';
-  }
-  for (const auto& [name, h] : registry.Histograms()) {
-    const std::string prom = PromName(name);
-    out << "# TYPE " << prom << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.NumBuckets(); ++i) {
-      cumulative += h.BucketCount(i);
-      out << prom << "_bucket{le=\"";
-      if (i + 1 < h.NumBuckets()) {
-        out << PromValue(h.UpperBound(i));
-      } else {
-        out << "+Inf";
-      }
-      out << "\"} " << cumulative << '\n';
-    }
-    out << prom << "_sum " << PromValue(h.Sum()) << '\n'
-        << prom << "_count " << cumulative << '\n';
-  }
-  // Timers expose deterministic event counts plus wall-clock totals; the
-  // latter vary run to run, which is fine for scrape-style consumers.
-  for (const auto& [name, t] : registry.Timers()) {
-    const std::string prom = PromName(name);
-    out << "# TYPE " << prom << "_count counter\n"
-        << prom << "_count " << t.Count() << '\n'
-        << "# TYPE " << prom << "_total_ns counter\n"
-        << prom << "_total_ns " << t.TotalNs() << '\n';
-  }
 }
 
 JsonValue BuildRunReport(const RunReportInputs& inputs) {

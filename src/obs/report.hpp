@@ -112,13 +112,6 @@ JsonValue BuildMetricsJson(const MetricsRegistry& registry);
 /// The EnergyLedger's aggregation as the `energy_attribution` sub-document.
 JsonValue BuildAttributionJson(const EnergyLedger& ledger);
 
-/// Prometheus-style text exposition of a registry: counters and gauges as
-/// single samples, histograms as _bucket/_sum/_count families, timers as
-/// _count/_total_ns counters. Names are mangled to `emis_<name>` with
-/// non-alphanumerics folded to '_'. Deterministic (registry iteration is
-/// name-ordered), so output is snapshot-testable.
-void WriteMetricsText(std::ostream& out, const MetricsRegistry& registry);
-
 /// Schema checks: empty string if the document conforms, else a description
 /// of the first violation.
 std::string ValidateRunReport(const JsonValue& doc);

@@ -179,7 +179,7 @@ void Scheduler::StartAll() {
   // Run every program to its first action (round 0), in node order.
   std::vector<NodeId> all(graph_->NumNodes());
   std::iota(all.begin(), all.end(), NodeId{0});
-  StepAndFile(all, 0, nullptr);
+  StepAndFile(all, 0);
 }
 
 void Scheduler::BuildShardCut() {
@@ -190,8 +190,7 @@ void Scheduler::BuildShardCut() {
   for (unsigned s = 0; s < shards_; ++s) {
     channel_.InitShardBuffer(tx_buffers_[s], shard_begin_[s], shard_begin_[s + 1]);
   }
-  shard_actors_.assign(shards_, {});
-  stepped_shards_.assign(shards_, {});
+  parts_.assign(shards_, {});
 }
 
 unsigned Scheduler::ShardOf(NodeId v) const noexcept {
@@ -252,24 +251,20 @@ void Scheduler::AdvanceNode(NodeId v, Round round) {
   }
 }
 
-void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round,
-                            const std::vector<std::vector<NodeId>>* slices) {
-  if (Sharded() && batch.size() >= kParallelMinNodes) {
-    par::ParallelFor(shards_, shards_, [&](std::uint64_t s, unsigned) {
-      std::span<const NodeId> slice;
-      if (slices != nullptr) {
-        slice = (*slices)[s];
-      } else {
-        // A node-ascending batch splits at the shard cut's boundaries.
-        const auto begin =
-            std::lower_bound(batch.begin(), batch.end(), shard_begin_[s]);
-        const auto end =
-            std::lower_bound(begin, batch.end(), shard_begin_[s + 1]);
-        slice = {begin, end};
-      }
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        PrefetchResume(slice, i);
-        AdvanceNode(slice[i], round);
+void Scheduler::SplitIntoParts(std::span<const NodeId> batch) {
+  for (std::vector<NodeId>& part : parts_) part.clear();
+  for (const NodeId v : batch) parts_[ShardOf(v)].push_back(v);
+}
+
+void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round) {
+  const unsigned parts = PassParts(batch.size());
+  if (parts > 1) {
+    SplitIntoParts(batch);
+    par::ParallelFor(parts, parts, [&](std::uint64_t s, unsigned) {
+      const std::span<const NodeId> part = parts_[s];
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        PrefetchResume(part, i);
+        AdvanceNode(part[i], round);
       }
     });
     for (const NodeId v : batch) FileAction(v);
@@ -299,7 +294,6 @@ void Scheduler::FileAction(NodeId v) {
     case ActionKind::kListen:
       EMIS_INVARIANT(!hot.Retired(), "retired node submitted a radio action");
       actors_.push_back(v);
-      if (Sharded()) shard_actors_[ShardOf(v)].push_back(v);
       break;
     case ActionKind::kSleep:
       EMIS_INVARIANT(hot.WakeRound() > hot.now, "sleep must advance time");
@@ -311,8 +305,8 @@ void Scheduler::FileAction(NodeId v) {
 }
 
 void Scheduler::CommitPhaseNotes(NodeId v) {
-  // A shard's buffer holds its slice's annotations in step order, and the
-  // slice is a subsequence of the batch, so v's notes sit at the cursor.
+  // A shard's buffer holds its part's annotations in step order, and the
+  // part is a subsequence of the batch, so v's notes sit at the cursor.
   HotNodeContext& hot = ctx_hot_[v];
   hot.ClearPhaseNotes();
   const unsigned s = Sharded() ? ShardOf(v) : 0;
@@ -422,7 +416,7 @@ void Scheduler::MigrateOverflow() {
   overflow_min_ = kept_min;
 }
 
-ChannelDirection Scheduler::ChooseDirection() {
+ChannelDirection Scheduler::ChooseDirection(unsigned parts) {
   // Live degrees when the residual overlay is on: as the residual shrinks,
   // both rules keep tracking the work a direction will actually do.
   std::uint64_t tx_edges = 0;
@@ -444,7 +438,7 @@ ChannelDirection Scheduler::ChooseDirection() {
     (push ? push_rounds_ : pull_rounds_)->Inc();
     edges_scanned_->Inc(push ? tx_edges : listen_edges);
   }
-  return PhysicalDirection(shards_, config_.link_loss > 0.0, tx_edges, listen_edges);
+  return PhysicalDirection(parts, config_.link_loss > 0.0, tx_edges, listen_edges);
 }
 
 void Scheduler::ExecuteRound() {
@@ -452,28 +446,29 @@ void Scheduler::ExecuteRound() {
   ResolvePhaseBoundary(now_ + 1);
   {
     const obs::ScopedTimer timing(execute_timer_);
-    channel_.BeginRound(ChooseDirection());
+    const unsigned parts = PassParts(actors_.size());
+    channel_.BeginRound(ChooseDirection(parts));
     // Pre-intern the ledger's (phase, sub) key so concurrent charges touch
-    // only per-node cells (disjoint across shards), never the key table.
+    // only per-node cells (disjoint across parts), never the key table.
     if (config_.ledger != nullptr) config_.ledger->PrimeCurrentKey();
-    const unsigned jobs = ShardJobs(actors_.size());
-    par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
-      ShardTransmitPass(static_cast<unsigned>(s));
+    if (parts > 1) SplitIntoParts(actors_);
+    par::ParallelFor(parts, parts, [this, parts](std::uint64_t s, unsigned) {
+      ShardTransmitPass(static_cast<unsigned>(s), parts);
     });
-    // Word-wise OR-merge in fixed shard order into the epoch-stamped global
-    // bitset; serial, so boundary words shared by two shards merge cleanly.
-    // One shard registered straight into the channel and has nothing to
+    // Word-wise OR-merge in fixed part order into the epoch-stamped global
+    // bitset; serial, so boundary words shared by two parts merge cleanly.
+    // One part registered straight into the channel and has nothing to
     // merge.
     std::uint64_t tx_total = 0;
-    for (unsigned s = 0; s < shards_; ++s) {
-      if (Sharded()) merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
+    for (unsigned s = 0; s < parts; ++s) {
+      if (parts > 1) merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
       tx_total += shard_tx_count_[s];
     }
-    par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
-      ShardListenPass(static_cast<unsigned>(s));
+    par::ParallelFor(parts, parts, [this, parts](std::uint64_t s, unsigned) {
+      ShardListenPass(static_cast<unsigned>(s), parts);
     });
     std::uint64_t listen_total = 0;
-    for (unsigned s = 0; s < shards_; ++s) listen_total += shard_listen_count_[s];
+    for (unsigned s = 0; s < parts; ++s) listen_total += shard_listen_count_[s];
     // Totals are plain sums — order-independent — so committing them once
     // per round keeps the meter exactly conserved at round boundaries.
     energy_.CommitShardTotals(tx_total, listen_total);
@@ -489,17 +484,15 @@ void Scheduler::ExecuteRound() {
   }
 
   // Resume the actors so they submit their next action (for now_ + 1),
-  // filing into the emptied actor lists.
+  // filing into the emptied actor list.
   const obs::ScopedTimer timing(resume_timer_);
   stepped_.swap(actors_);
   actors_.clear();
-  stepped_shards_.swap(shard_actors_);
-  for (std::vector<NodeId>& list : shard_actors_) list.clear();
-  StepAndFile(stepped_, now_ + 1, &stepped_shards_);
+  StepAndFile(stepped_, now_ + 1);
 }
 
-void Scheduler::ShardTransmitPass(unsigned s) {
-  const std::vector<NodeId>& list = ShardActors(s);
+void Scheduler::ShardTransmitPass(unsigned s, unsigned parts) {
+  const std::span<const NodeId> list = Part(actors_, parts, s);
   std::uint64_t transmits = 0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i + 8 < list.size()) {
@@ -508,7 +501,7 @@ void Scheduler::ShardTransmitPass(unsigned s) {
     const NodeId v = list[i];
     const HotNodeContext& hot = ctx_hot_[v];
     if (hot.Pending() != ActionKind::kTransmit) continue;
-    if (Sharded()) {
+    if (parts > 1) {
       channel_.StampTransmitter(tx_buffers_[s], v, hot.Payload());
     } else {
       channel_.AddTransmitter(v, hot.Payload());
@@ -520,8 +513,8 @@ void Scheduler::ShardTransmitPass(unsigned s) {
   shard_tx_count_[s] = transmits;
 }
 
-void Scheduler::ShardListenPass(unsigned s) {
-  const std::vector<NodeId>& list = ShardActors(s);
+void Scheduler::ShardListenPass(unsigned s, unsigned parts) {
+  const std::span<const NodeId> list = Part(actors_, parts, s);
   std::uint64_t listens = 0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i + 8 < list.size()) {
@@ -621,7 +614,7 @@ RunStats Scheduler::RunUntil(Round limit) {
       std::sort(wake_scratch_.begin(), wake_scratch_.end());
       wheel_count_ -= wake_scratch_.size();
       if (wake_events_ != nullptr) wake_events_->Inc(wake_scratch_.size());
-      StepAndFile(wake_scratch_, now_, nullptr);
+      StepAndFile(wake_scratch_, now_);
     }
     if (actors_.empty()) continue;  // woken nodes all went back to sleep
 

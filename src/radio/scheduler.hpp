@@ -109,11 +109,12 @@ struct SchedulerConfig {
   /// per closed span carrying the span's attribution delta.
   obs::StreamSink* telemetry = nullptr;
   /// Requested intra-run shard count for the flat engine: the node range is
-  /// cut into contiguous, edge-balanced row ranges and each round's per-node
-  /// work (protocol steps, channel stamping/scanning, energy charges) runs
+  /// cut into contiguous, edge-balanced row ranges, and a pass (a round's
+  /// channel work, a step pass) with at least kParallelMinNodes nodes runs
   /// one shard per pool worker, with every cross-node mutation serialized in
-  /// global actor order between the parallel passes (DESIGN.md §13). Purely
-  /// a cost knob: traces, energy, metrics, receptions, and reports are
+  /// global actor order between the parallel passes; a smaller pass runs as
+  /// one part, exactly like a one-shard run (DESIGN.md §13). Purely a cost
+  /// knob: traces, energy, metrics, receptions, and reports are
   /// bit-identical at any shard count. The scheduler clamps it to the node
   /// count, and the coroutine engine (the reference implementation) always
   /// runs one shard; Scheduler::Shards() reports the count in effect.
@@ -132,20 +133,21 @@ constexpr ChannelDirection ResolveDirection(std::uint64_t tx_edges,
                                  : ChannelDirection::kPush;
 }
 
-/// The direction the channel physically resolves a round in, over the same
-/// degree sums. Receptions are byte-identical in both directions (Channel's
-/// contract), so this rule moves cost only:
-///   * more than one shard: pull — stamping is shard-local and the listener
+/// The direction the channel physically resolves a round in, given the
+/// round's part count (Scheduler::PassParts) and the same degree sums.
+/// Receptions are byte-identical in both directions (Channel's contract), so
+/// this rule moves cost only:
+///   * more than one part: pull — stamping is part-local and the listener
 ///     scan reads the merged bitset without touching other nodes' state;
 ///   * a lossy channel: the accounting model's choice — both directions
 ///     scan scalar there (per-link erasure draws), so 1:1 is the real ratio;
 ///   * otherwise: push iff 4 · tx_edges < listen_edges — the pull side's
 ///     word-parallel scan costs roughly a quarter of push's scattered
 ///     per-neighbor deliveries per edge (~3.2 vs ~14 ns/edge at bench sizes).
-constexpr ChannelDirection PhysicalDirection(unsigned shards, bool lossy,
+constexpr ChannelDirection PhysicalDirection(unsigned parts, bool lossy,
                                              std::uint64_t tx_edges,
                                              std::uint64_t listen_edges) noexcept {
-  if (shards > 1) return ChannelDirection::kPull;
+  if (parts > 1) return ChannelDirection::kPull;
   if (lossy) return ResolveDirection(tx_edges, listen_edges);
   return tx_edges * 4 < listen_edges ? ChannelDirection::kPush
                                      : ChannelDirection::kPull;
@@ -225,28 +227,28 @@ class Scheduler {
   /// its coroutine or stepping its flat lane, per config.engine. Touches
   /// only v's own context, lane and RNG stream, so calls for distinct nodes
   /// may run concurrently (flat engine). A node stepped out of sleep must be
-  /// due exactly at `round`.
-  void AdvanceNode(NodeId v, Round round);
+  /// due exactly at `round`. Declared inline (defined and used only in
+  /// scheduler.cpp) so g++ inlines it into both step loops of StepAndFile:
+  /// left to its heuristics it kept an out-of-line call in the one-part
+  /// loop, the coroutine engine's resume path.
+  inline void AdvanceNode(NodeId v, Round round);
 
   /// The one step-then-file pass (spawn, wake drain, round resume): advances
   /// every node of `batch` to `round`, then files each in batch order and
-  /// flushes the pass's retire batch. Steps run per shard on the pool when
-  /// sharded and the batch reaches kParallelMinNodes, inline (interleaved
-  /// with filing) otherwise. `slices` are the batch's per-shard
-  /// sub-lists for the pool; null when the batch is node-ascending, which
-  /// the shard cut then slices directly.
-  void StepAndFile(std::span<const NodeId> batch, Round round,
-                   const std::vector<std::vector<NodeId>>* slices);
+  /// flushes the pass's retire batch. With PassParts(batch) > 1 the steps
+  /// run per part on the pool and filing follows the join; with one part
+  /// each step is filed at once.
+  void StepAndFile(std::span<const NodeId> batch, Round round);
   /// Spawn's and SpawnFlat's common tail: StepAndFile of every node, in
   /// node order, to its first action (round 0).
   void StartAll();
 
   /// Files node v's computed action: commits its step's phase annotations,
-  /// then files it into actors_ (and its shard's list) if it acts in round
-  /// ctx.now, into the wake wheel if it sleeps; detects completion and
-  /// marks retirement. Always serial, in batch order — filing mutates
-  /// cross-node state (the timeline, finished_, the wheel, the order of the
-  /// retire batch), whose mutation order the trace/report goldens pin.
+  /// then files it into actors_ if it acts in round ctx.now, into the wake
+  /// wheel if it sleeps; detects completion and marks retirement. Always
+  /// serial, in batch order — filing mutates cross-node state (the timeline,
+  /// finished_, the wheel, the order of the retire batch), whose mutation
+  /// order the trace/report goldens pin.
   void FileAction(NodeId v);
   /// Replays v's staged PhaseNotes into the timeline (Annotate /
   /// AnnotateSub), popping them from v's shard buffer at its cursor. Called
@@ -277,50 +279,57 @@ class Scheduler {
   /// ResidualGraph::kParallelMinEntries, over one inline range otherwise.
   void FlushRetires();
 
-  /// The round, for every engine and shard count (one shard is the inline
-  /// case): ChooseDirection → BeginRound → per-shard transmit pass → merge
-  /// of the shard bitsets in fixed shard order → per-shard listen pass →
-  /// CommitShardTotals → deferred trace → heartbeat → StepAndFile of the
-  /// actors for the next round. Every observable commits serially in global
-  /// actor order, so all of them are bit-identical at any shard count
+  /// The round, for every engine and shard count: PassParts(actors_) →
+  /// ChooseDirection → BeginRound → per-part transmit pass → merge of the
+  /// part bitsets in fixed part order (none at one part) → per-part listen
+  /// pass → CommitShardTotals → deferred trace → heartbeat → StepAndFile of
+  /// the actors for the next round. Every observable commits serially in
+  /// global actor order, so all of them are bit-identical at any shard count
   /// (DESIGN.md §13).
   void ExecuteRound();
 
-  /// Shard s's transmitters: registered with the channel (AddTransmitter at
-  /// one shard, StampTransmitter into the shard's buffer when sharded) and
-  /// charged to the per-node energy cells.
-  void ShardTransmitPass(unsigned s);
-  /// Shard s's listeners: receptions resolved and energy charged locally.
-  void ShardListenPass(unsigned s);
+  /// Part s of a round split into `parts`: its transmitters are registered
+  /// with the channel (AddTransmitter at one part, StampTransmitter into the
+  /// shard's buffer otherwise) and charged to the per-node energy cells.
+  void ShardTransmitPass(unsigned s, unsigned parts);
+  /// Part s's listeners: receptions resolved and energy charged locally.
+  void ShardListenPass(unsigned s, unsigned parts);
   /// Deferred serial trace pass in global actor order: all transmits, then
   /// all listens.
   void EmitRoundTrace();
   /// Edge-balanced contiguous node cut (EdgeBalancedCut); also sizes the
-  /// per-shard actor lists and transmit buffers.
+  /// part lists and transmit buffers.
   void BuildShardCut();
   /// The shard owning node v under the current cut.
   unsigned ShardOf(NodeId v) const noexcept;
   bool Sharded() const noexcept { return shards_ > 1; }
-  /// Shard s's actors this round: actors_ itself at one shard.
-  const std::vector<NodeId>& ShardActors(unsigned s) const noexcept {
-    return Sharded() ? shard_actors_[s] : actors_;
-  }
   /// Pool dispatch only pays off when a pass has enough per-node work to
-  /// amortize the barrier handshake; below this many nodes the same shard
-  /// loop runs inline on the scheduler thread (ParallelFor with one job).
-  /// Bit-identical either way — the shards execute the same disjoint work
-  /// in the same serialized merge/filing order — so this is purely a cost
-  /// knob, sized so ~µs of pass work meets ~µs of dispatch overhead.
+  /// amortize the barrier handshake; a smaller pass runs on the scheduler
+  /// thread as one part — the one-shard round or step pass, whatever the
+  /// shard count. Bit-identical either way — the parts execute disjoint work
+  /// whose merge/filing is serialized in global actor order — so this is
+  /// purely a cost knob, sized so ~µs of pass work meets ~µs of dispatch
+  /// overhead.
   static constexpr std::size_t kParallelMinNodes = 1024;
-  unsigned ShardJobs(std::size_t work_items) const noexcept {
-    return work_items >= kParallelMinNodes ? shards_ : 1;
+  /// The one rule for a pass's part count, asked by the round and the step
+  /// pass alike: every shard once the pass reaches kParallelMinNodes, else 1.
+  unsigned PassParts(std::size_t nodes) const noexcept {
+    return nodes >= kParallelMinNodes ? shards_ : 1;
+  }
+  /// Splits a dispatched pass's `batch` by the shard cut into parts_, each
+  /// part a subsequence of the batch (what the phase-note cursors rely on).
+  void SplitIntoParts(std::span<const NodeId> batch);
+  /// Part s of `batch` split into `parts`: the batch itself at one part.
+  std::span<const NodeId> Part(std::span<const NodeId> batch, unsigned parts,
+                               unsigned s) const noexcept {
+    return parts > 1 ? std::span<const NodeId>(parts_[s]) : batch;
   }
 
   /// Sums the live degrees of the round's transmitters and listeners, feeds
   /// the chan.* counters from the ResolveDirection accounting model, and
-  /// returns the PhysicalDirection the channel resolves in. Also validates
-  /// actor rounds.
-  ChannelDirection ChooseDirection();
+  /// returns the PhysicalDirection the channel resolves in at `parts`. Also
+  /// validates actor rounds.
+  ChannelDirection ChooseDirection(unsigned parts);
 
   const Graph* graph_;
   SchedulerConfig config_;
@@ -357,25 +366,24 @@ class Scheduler {
 
   // Nodes acting (transmit/listen) in round now_.
   std::vector<NodeId> actors_;
-  // The executed round's actors, swapped out of actors_ (and shard_actors_)
-  // while StepAndFile files their next actions into the emptied lists.
+  // The executed round's actors, swapped out of actors_ while StepAndFile
+  // files their next actions into the emptied list.
   std::vector<NodeId> stepped_;
-  std::vector<std::vector<NodeId>> stepped_shards_;
 
   // Intra-run sharding (flat engine only; engaged by the constructor when
   // config.shards > 1). shard_begin_ holds the contiguous node cut
-  // (shards_ + 1 boundaries); shard_actors_ mirrors actors_ partitioned by
-  // shard, maintained by FileAction and swapped alongside it.
+  // (shards_ + 1 boundaries); parts_ holds the current dispatched pass's
+  // batch split by that cut (SplitIntoParts), stale otherwise.
   unsigned shards_ = 1;
   std::vector<NodeId> shard_begin_;
-  std::vector<std::vector<NodeId>> shard_actors_;
+  std::vector<std::vector<NodeId>> parts_;
   std::vector<Channel::TxShardBuffer> tx_buffers_;
   // Per-shard phase-annotation buffers and their filing cursors (sized only
   // when a timeline is attached; empty between filing passes).
   std::vector<PhaseNoteBuffer> phase_notes_;
   std::vector<std::size_t> phase_note_next_;
-  // Per-shard charge tallies from the round passes (one entry at one
-  // shard), summed serially into the EnergyMeter totals once per round.
+  // Per-part charge tallies from the round passes (entry 0 at one part),
+  // summed serially into the EnergyMeter totals once per round.
   std::vector<std::uint64_t> shard_tx_count_;
   std::vector<std::uint64_t> shard_listen_count_;
   std::uint64_t merge_words_ = 0;  ///< words OR-merged across all rounds

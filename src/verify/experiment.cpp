@@ -5,6 +5,7 @@
 #include <optional>
 #include <ostream>
 
+#include "obs/phase_timeline.hpp"
 #include "obs/scoped_timer.hpp"
 #include "verify/parallel.hpp"
 
@@ -66,12 +67,10 @@ struct TrialOutcome {
   double max_degree = 0.0;
   double seconds = 0.0;
   std::unique_ptr<MisRunResult> full;  ///< retained only for config.observe
-  /// Per-trial observability shards, merged on the reducing thread in
-  /// (size, seed) order — the shard-and-merge discipline that keeps every
-  /// aggregate bit-identical across jobs counts.
-  std::unique_ptr<obs::PhaseAggregate> phases;
-  std::unique_ptr<obs::AttributionTable> attribution;
-  std::unique_ptr<std::string> telemetry;  ///< drained NDJSON blob
+  /// The trial's drained NDJSON telemetry, concatenated on the reducing
+  /// thread in (size, seed) order, so the stream is bit-identical across
+  /// jobs counts.
+  std::unique_ptr<std::string> telemetry;
 };
 
 }  // namespace
@@ -111,22 +110,13 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& config, unsigned jobs,
       if (config.tweak) config.tweak(run_config, graph);
       if (!shards.empty()) run_config.metrics = &shards[worker];
 
-      // Per-trial observability collectors. The timeline is private to the
-      // trial (it drives the ledger's phase context and the sink's phase
-      // events); everything aggregates through the outcome slot, never
-      // through shared state.
-      const bool want_timeline = config.phases != nullptr ||
-                                 config.attribution != nullptr ||
-                                 config.telemetry_out != nullptr;
+      // Per-trial telemetry: a private sink and the private timeline that
+      // drives its phase events; the stream reaches the caller through the
+      // outcome slot, never through shared state.
       obs::PhaseTimeline timeline;
-      std::optional<obs::EnergyLedger> ledger;
       std::optional<obs::StreamSink> sink;
-      if (want_timeline) run_config.timeline = &timeline;
-      if (config.attribution != nullptr) {
-        ledger.emplace(graph.NumNodes());
-        run_config.ledger = &*ledger;
-      }
       if (config.telemetry_out != nullptr) {
+        run_config.timeline = &timeline;
         sink.emplace(config.telemetry_config);
         run_config.telemetry = &*sink;
         obs::JsonValue begin = obs::JsonValue::MakeObject();
@@ -153,14 +143,6 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& config, unsigned jobs,
       out.mis_size = static_cast<double>(run.MisSize());
       out.max_degree = static_cast<double>(graph.MaxDegree());
       out.seconds = obs::MonotonicSeconds() - trial_begin;
-      if (config.phases != nullptr) {
-        out.phases = std::make_unique<obs::PhaseAggregate>();
-        out.phases->Accumulate(timeline);  // RunMis closed the spans
-      }
-      if (config.attribution != nullptr) {
-        out.attribution = std::make_unique<obs::AttributionTable>();
-        out.attribution->Accumulate(*ledger);
-      }
       if (sink) {
         obs::JsonValue end = obs::JsonValue::MakeObject();
         end.Set("event", "run_end");
@@ -206,12 +188,6 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& config, unsigned jobs,
       point.mis_size.Add(out.mis_size);
       point.max_degree.Add(out.max_degree);
       if (info != nullptr) info->point_wall_seconds[i] += out.seconds;
-      if (config.phases != nullptr && out.phases != nullptr) {
-        config.phases->MergeFrom(*out.phases);
-      }
-      if (config.attribution != nullptr && out.attribution != nullptr) {
-        config.attribution->MergeFrom(*out.attribution);
-      }
       if (config.telemetry_out != nullptr && out.telemetry != nullptr) {
         *config.telemetry_out << *out.telemetry;
       }

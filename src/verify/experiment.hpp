@@ -19,10 +19,8 @@
 #include <vector>
 
 #include "core/runner.hpp"
-#include "obs/energy_ledger.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timeline.hpp"
 #include "obs/stream_sink.hpp"
 #include "radio/graph.hpp"
 #include "radio/graph_generators.hpp"
@@ -93,18 +91,9 @@ struct SweepConfig {
   /// even when the trials themselves ran concurrently.
   std::function<void(NodeId n, std::uint32_t seed_index, const MisRunResult&)>
       observe;
-  /// Optional phase-span aggregate. Each trial runs with a private
-  /// PhaseTimeline; the per-trial aggregates merge into this one on the
-  /// reducing thread in (size, seed) order, so the result is bit-identical
-  /// at any jobs count.
-  obs::PhaseAggregate* phases = nullptr;
-  /// Optional energy-attribution aggregate. Each trial runs with a private
-  /// EnergyLedger (plus a private timeline to drive its context); the
-  /// per-trial tables merge on the reducing thread in (size, seed) order —
-  /// integral sums only, so the merged table is bit-identical at any jobs.
-  obs::AttributionTable* attribution = nullptr;
-  /// Optional streaming telemetry. Each trial buffers its events in a
-  /// private StreamSink; on the reducing thread the blobs are framed with
+  /// Optional streaming telemetry. Each trial buffers its events (round
+  /// heartbeats, phase events from a private PhaseTimeline) in a private
+  /// StreamSink; on the reducing thread the blobs are framed with
   /// trial envelopes and concatenated in (size, seed) order, so the stream
   /// is byte-identical at any jobs count.
   std::ostream* telemetry_out = nullptr;

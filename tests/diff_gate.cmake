@@ -2,7 +2,7 @@
 # end to end through the shipped binaries.
 #
 #  1. `emis_cli run` with every sink flag produces a valid report plus
-#     non-empty flamegraph / telemetry / metrics-text artifacts.
+#     non-empty flamegraph / telemetry artifacts.
 #  2. `emis_report_diff` on identical artifacts exits 0 (self-diff clean),
 #     and its emis-diff-report/1 output validates.
 #  3. `emis_report_diff` between runs with different seeds exits 1
@@ -12,17 +12,16 @@ set(report_a "${WORK_DIR}/gate_a.json")
 set(report_b "${WORK_DIR}/gate_b.json")
 set(flame "${WORK_DIR}/gate_a.folded")
 set(telemetry "${WORK_DIR}/gate_a.ndjson")
-set(metrics_text "${WORK_DIR}/gate_a.prom")
 
 execute_process(
   COMMAND ${EMIS_CLI} run --graph er:n=96,p=0.06 --alg cd --seed 2
           --report-out ${report_a} --flamegraph-out ${flame}
-          --telemetry-out ${telemetry} --metrics-text ${metrics_text} --quiet
+          --telemetry-out ${telemetry} --quiet
   RESULT_VARIABLE run_a_rc)
 if(NOT run_a_rc EQUAL 0)
   message(FATAL_ERROR "emis_cli run with sink flags failed (rc=${run_a_rc})")
 endif()
-foreach(artifact ${flame} ${telemetry} ${metrics_text})
+foreach(artifact ${flame} ${telemetry})
   if(NOT EXISTS ${artifact})
     message(FATAL_ERROR "sink artifact ${artifact} was not written")
   endif()

@@ -677,39 +677,6 @@ TEST(StreamSink, SchedulerEmitsHeartbeatsAndPhaseEvents) {
   EXPECT_GT(phases, 0u);  // one per closed luby-phase span
 }
 
-// --- Prometheus text exposition --------------------------------------------
-
-TEST(MetricsText, SnapshotOfEveryMetricKind) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("chan.messages").Inc(41);
-  reg.GetGauge("obs.trace_dropped").Set(7);
-  reg.GetGauge("load").Set(0.5);
-  obs::Histogram& h = reg.GetHistogram("awake", {1.0, 4.0});
-  h.Observe(1.0);
-  h.Observe(2.0);
-  h.Observe(9.0);
-  reg.GetTimer("sched.execute_round").Record(250);
-  std::ostringstream out;
-  obs::WriteMetricsText(out, reg);
-  EXPECT_EQ(out.str(),
-            "# TYPE emis_chan_messages counter\n"
-            "emis_chan_messages 41\n"
-            "# TYPE emis_load gauge\n"
-            "emis_load 0.5\n"
-            "# TYPE emis_obs_trace_dropped gauge\n"
-            "emis_obs_trace_dropped 7\n"
-            "# TYPE emis_awake histogram\n"
-            "emis_awake_bucket{le=\"1\"} 1\n"
-            "emis_awake_bucket{le=\"4\"} 2\n"
-            "emis_awake_bucket{le=\"+Inf\"} 3\n"
-            "emis_awake_sum 12\n"
-            "emis_awake_count 3\n"
-            "# TYPE emis_sched_execute_round_count counter\n"
-            "emis_sched_execute_round_count 1\n"
-            "# TYPE emis_sched_execute_round_total_ns counter\n"
-            "emis_sched_execute_round_total_ns 250\n");
-}
-
 // --- Bounded-sink drop gauges ----------------------------------------------
 
 TEST(TraceSink, RingTraceReportsDropsThroughBaseInterface) {

@@ -1,8 +1,11 @@
 // emis_report_diff engine: flattening, tolerance classes, added/removed
-// detection, the self-diff-is-clean guarantee the CI gate rests on, and the
-// emis-diff-report/1 schema round-trip.
+// detection, phase spans on the diff surface, the self-diff-is-clean
+// guarantee the CI gate rests on, and the emis-diff-report/1 schema
+// round-trip.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/runner.hpp"
@@ -135,6 +138,73 @@ TEST(ReportDiff, AddedAndRemovedMetricsAreFlagged) {
   bool saw_added = false;
   for (const emis_diff::MetricDelta& d : added.deltas) saw_added |= d.cls == "added";
   EXPECT_TRUE(saw_added);
+}
+
+/// The committed bench/baselines/run_er_cd.json.
+JsonValue CommittedBaseline() {
+  std::ifstream in(std::string(EMIS_SOURCE_ROOT) + "/bench/baselines/run_er_cd.json");
+  EXPECT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  return obs::ParseJson(text.str());
+}
+
+/// Deep-copies `doc` with phases[i].`key` set to `value`, or with span i
+/// dropped when `key` is empty.
+JsonValue WithPhase(const JsonValue& doc, std::size_t i, const std::string& key,
+                    double value) {
+  JsonValue out = JsonValue::MakeObject();
+  for (const auto& [k, v] : doc.Entries()) {
+    if (k != "phases") {
+      out.Set(k, v);
+      continue;
+    }
+    JsonValue phases = JsonValue::MakeArray();
+    for (std::size_t j = 0; j < v.Items().size(); ++j) {
+      if (j != i) {
+        phases.Push(v.Items()[j]);
+        continue;
+      }
+      if (key.empty()) continue;
+      JsonValue span = JsonValue::MakeObject();
+      for (const auto& [sk, sv] : v.Items()[j].Entries()) {
+        span.Set(sk, sk == key ? JsonValue(value) : sv);
+      }
+      phases.Push(std::move(span));
+    }
+    out.Set("phases", std::move(phases));
+  }
+  return out;
+}
+
+TEST(ReportDiff, PhaseSpansAreOnTheDiffSurface) {
+  const JsonValue baseline = CommittedBaseline();
+  ASSERT_EQ(obs::ValidateReport(baseline), "");
+  EXPECT_TRUE(emis_diff::DiffReports(baseline, baseline, {}).Ok());
+  // luby-phase 0 ends at 76 residual edges; 966 is what the residual read
+  // before boundary probing. The gate must see the drift.
+  ASSERT_EQ(baseline.Find("phases")->Items()[0].Find("residual_edges_end")->AsNumber(),
+            76.0);
+  const emis_diff::DiffResult drifted = emis_diff::DiffReports(
+      baseline, WithPhase(baseline, 0, "residual_edges_end", 966), {});
+  EXPECT_EQ(drifted.out_of_tolerance, 1u);
+  bool found = false;
+  for (const emis_diff::MetricDelta& d : drifted.deltas) {
+    if (d.metric != "phases.0.luby-phase 0.residual_edges_end") continue;
+    found = true;
+    EXPECT_EQ(d.cls, "out_of_tolerance");
+    EXPECT_DOUBLE_EQ(d.baseline, 76.0);
+    EXPECT_DOUBLE_EQ(d.current, 966.0);
+  }
+  EXPECT_TRUE(found);
+  // A missing span fails closed: its fields are "removed", and the spans
+  // after it no longer line up with their positions.
+  const emis_diff::DiffResult missing =
+      emis_diff::DiffReports(baseline, WithPhase(baseline, 0, "", 0), {});
+  EXPECT_FALSE(missing.Ok());
+  bool saw_removed = false;
+  for (const emis_diff::MetricDelta& d : missing.deltas) saw_removed |= d.cls == "removed";
+  EXPECT_TRUE(saw_removed);
 }
 
 TEST(ReportDiff, IncomparableDocumentsFailClosed) {

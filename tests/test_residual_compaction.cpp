@@ -44,6 +44,7 @@
 #include "radio/graph_generators.hpp"
 #include "radio/scheduler.hpp"
 #include "radio/trace.hpp"
+#include "trace_hash.hpp"
 #include "verify/experiment.hpp"
 
 namespace emis {
@@ -401,30 +402,6 @@ TEST(ResidualCompaction, CostModelSumsLiveDegrees) {
 }
 
 // --- Reception equivalence: compaction is invisible to the radio ----------
-
-/// FNV-1a over every traced action and reception — any divergence in who
-/// acted, what was heard, or which payload was decoded changes the hash.
-class HashTrace final : public TraceSink {
- public:
-  void OnEvent(const TraceEvent& e) override {
-    Mix(e.round);
-    Mix(e.node);
-    Mix(static_cast<std::uint64_t>(e.action));
-    Mix(e.payload);
-    Mix(static_cast<std::uint64_t>(e.reception.kind));
-    Mix(e.reception.payload);
-  }
-  std::uint64_t Value() const noexcept { return hash_; }
-
- private:
-  void Mix(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (x >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 struct RunFingerprint {
   std::vector<MisStatus> status;

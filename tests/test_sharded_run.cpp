@@ -3,13 +3,15 @@
 // Sharding contract (DESIGN.md §13): a flat-engine run partitioned over any
 // shard count is BIT-IDENTICAL to the single-shard run — same decisions,
 // same rounds, same energy totals, same full trace hash. Pinned here:
-//   * fingerprint equality across shards {1, 2, 3, 8} for every MIS core
-//     across loss {0, 0.1} x compaction {on, off};
+//   * fingerprint equality across shards {1, 2, 3, 4, 8} for every MIS core
+//     across loss {0, 0.1} x compaction {on, off}, and at 4 shards on a graph
+//     whose runs mix dispatched and one-part rounds;
 //   * the frozen golden trace hashes of tests/test_residual_compaction.cpp
 //     reproduce at 4 shards (equivalence to the frozen behavior, not merely
 //     to today's single-shard build);
 //   * a graph big enough to cross the scheduler's inline-below threshold
-//     (kParallelMinNodes) so real pool threads execute the round passes;
+//     (kParallelMinNodes) so real pool threads execute the round passes,
+//     and a 4-shard run below it that merges nothing (every pass one part);
 //   * pinned graph.compactions / graph.edges_reclaimed / chan.edges_scanned
 //     / chan.push_rounds / chan.pull_rounds for both engines at shards 1-4
 //     on a graph dense enough that the row-owner retire pass and the
@@ -56,6 +58,7 @@
 #include "radio/graph_io.hpp"
 #include "radio/scheduler.hpp"
 #include "radio/trace.hpp"
+#include "trace_hash.hpp"
 
 namespace emis {
 namespace {
@@ -263,30 +266,6 @@ TEST(BinaryCsr, MappedGraphRunsIdenticallyToOwnedGraph) {
 // ---------------------------------------------------------------------------
 // Sharded-run bit-identity
 
-/// FNV-1a over every traced action and reception — the pattern pinned in
-/// test_residual_compaction.cpp and test_flat_engine.cpp.
-class HashTrace final : public TraceSink {
- public:
-  void OnEvent(const TraceEvent& e) override {
-    Mix(e.round);
-    Mix(e.node);
-    Mix(static_cast<std::uint64_t>(e.action));
-    Mix(e.payload);
-    Mix(static_cast<std::uint64_t>(e.reception.kind));
-    Mix(e.reception.payload);
-  }
-  std::uint64_t Value() const noexcept { return hash_; }
-
- private:
-  void Mix(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (x >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
 struct RunFingerprint {
   std::vector<MisStatus> status;
   Round rounds = 0;
@@ -341,23 +320,31 @@ constexpr MisAlgorithm kCores[] = {
     MisAlgorithm::kNoCdDaviesProfile, MisAlgorithm::kNoCdRoundEfficient};
 
 TEST(ShardedRun, BitIdenticalAcrossShardCountsForEveryCore) {
+  // 96 nodes: every pass runs as one part at any shard count; 8 shards is
+  // more than the natural cut count for 96 nodes on small shards. At 1100
+  // nodes the spawn pass and the early, all-awake rounds reach
+  // kParallelMinNodes and dispatch (pull, merged part bitsets) while the
+  // later rounds run as one part (push-capable, nothing merged), so a
+  // 4-shard run mixes both.
   Rng rng(909);
-  const Graph g = gen::ErdosRenyi(96, 0.07, rng);
+  const Graph small = gen::ErdosRenyi(96, 0.07, rng);
+  const Graph mixed = gen::ErdosRenyi(1100, 0.006, rng);
   for (MisAlgorithm algorithm : kCores) {
     for (double loss : {0.0, 0.1}) {
       for (bool compaction : {true, false}) {
         const RunFingerprint reference =
-            ShardedFingerprint(g, 1, algorithm, loss, compaction);
-        // 8 > the natural cut count for 96 nodes on small shards; also
-        // exercises the clamp-to-NumNodes path indirectly.
-        for (unsigned shards : {2u, 3u, 8u}) {
-          EXPECT_EQ(ShardedFingerprint(g, shards, algorithm, loss, compaction),
+            ShardedFingerprint(small, 1, algorithm, loss, compaction);
+        for (unsigned shards : {2u, 3u, 4u, 8u}) {
+          EXPECT_EQ(ShardedFingerprint(small, shards, algorithm, loss, compaction),
                     reference)
               << ToString(algorithm) << " loss " << loss << " compaction "
               << compaction << " shards " << shards;
         }
       }
     }
+    EXPECT_EQ(ShardedFingerprint(mixed, 4, algorithm, 0.0, true),
+              ShardedFingerprint(mixed, 1, algorithm, 0.0, true))
+        << ToString(algorithm) << ", 1100 nodes";
   }
 }
 
@@ -529,6 +516,31 @@ TEST(ShardedRun, ReportsIdenticalAcrossShardCountsOutsideCostKeys) {
     EXPECT_EQ(NormalizedShardReport(g, algorithm, 2), reference)
         << ToString(algorithm);
     EXPECT_EQ(NormalizedShardReport(g, algorithm, 4), reference)
+        << ToString(algorithm);
+  }
+}
+
+TEST(ShardedRun, PassesBelowTheDispatchThresholdRunTheOneShardRound) {
+  // 512 nodes: no pass (spawn, wake drain, round, resume) reaches
+  // kParallelMinNodes, so every pass of a 4-shard run is one part — the
+  // one-shard round, which registers transmitters with the channel directly
+  // and merges no shard bitsets — and its report is the one-shard report
+  // outside the cost keys.
+  Rng rng(77);
+  const Graph g = gen::ErdosRenyi(512, 0.02, rng);
+  for (MisAlgorithm algorithm : {MisAlgorithm::kCd, MisAlgorithm::kNoCd}) {
+    obs::MetricsRegistry metrics;
+    MisRunConfig cfg{.algorithm = algorithm, .seed = 21};
+    cfg.engine = ExecutionEngine::kFlat;
+    cfg.shards = 4;
+    cfg.metrics = &metrics;
+    const MisRunResult r = RunMis(g, cfg);
+    EXPECT_TRUE(r.Valid());
+    EXPECT_EQ(r.shards, 4u);
+    EXPECT_EQ(metrics.GetGauge("chan.merge_words").Value(), 0.0)
+        << ToString(algorithm);
+    EXPECT_EQ(NormalizedShardReport(g, algorithm, 4),
+              NormalizedShardReport(g, algorithm, 1))
         << ToString(algorithm);
   }
 }

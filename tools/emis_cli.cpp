@@ -9,15 +9,13 @@
 //                  [--compaction on|off] [--engine coroutine|flat]
 //                  [--shards N] [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
-//                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
-//                  [--metrics-text FILE.prom] [--quiet]
+//                  [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
 //                  --sizes 64,128,... [--seeds K] [--delta-unknown]
 //                  [--avg-degree D] [--compaction on|off]
 //                  [--engine coroutine|flat]
 //                  [--shards N] [--jobs N] [--report-out FILE.json]
-//                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
-//                  [--metrics-text FILE.prom] [--quiet]
+//                  [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]
 //   emis_cli validate-report FILE.json
 //
 // Each command accepts exactly the flags listed for it; any other `--flag`
@@ -91,12 +89,12 @@ const FlagSet kGraphPackFlags{"graph pack", {"graph", "seed", "out"}, {"quiet"}}
 const FlagSet kRunFlags{"run",
                         {"graph", "alg", "seed", "preset", "compaction", "engine",
                          "shards", "trace-jsonl", "report-out", "flamegraph-out",
-                         "telemetry-out", "heartbeat-every", "metrics-text"},
+                         "telemetry-out", "heartbeat-every"},
                         {"delta-unknown", "quiet"}};
 const FlagSet kSweepFlags{"sweep",
                           {"alg", "family", "sizes", "seeds", "avg-degree",
                            "compaction", "engine", "shards", "jobs", "report-out",
-                           "telemetry-out", "heartbeat-every", "metrics-text"},
+                           "telemetry-out", "heartbeat-every"},
                           {"delta-unknown", "quiet"}};
 const FlagSet kValidateReportFlags{"validate-report", {}, {}};
 
@@ -248,16 +246,15 @@ int CmdRun(const Flags& flags) {
     cfg.trace = &*jsonl_trace;
   }
 
-  // Collectors attach on demand: the report and Prometheus text want
-  // metrics; the report, flamegraph and telemetry want the timeline; the
-  // report's attribution block and the flamegraph want the ledger.
+  // Collectors attach on demand: the report wants metrics; the report,
+  // flamegraph and telemetry want the timeline; the report's attribution
+  // block and the flamegraph want the ledger.
   obs::MetricsRegistry metrics;
   obs::PhaseTimeline timeline;
   const bool want_report = flags.Has("report-out");
   const bool want_flame = flags.Has("flamegraph-out");
   const bool want_telemetry = flags.Has("telemetry-out");
-  const bool want_metrics_text = flags.Has("metrics-text");
-  if (want_report || want_metrics_text) cfg.metrics = &metrics;
+  if (want_report) cfg.metrics = &metrics;
   if (want_report || want_flame || want_telemetry) cfg.timeline = &timeline;
   std::optional<obs::EnergyLedger> ledger;
   if (want_report || want_flame) {
@@ -347,15 +344,6 @@ int CmdRun(const Flags& flags) {
     ledger->WriteCollapsed(flame_file, alg_name);
     if (!flags.Has("quiet")) {
       std::printf("flamegraph:  %s\n", flame_path.c_str());
-    }
-  }
-  if (want_metrics_text) {
-    const std::string metrics_path = flags.Get("metrics-text");
-    std::ofstream metrics_file(metrics_path);
-    EMIS_REQUIRE(metrics_file.good(), "cannot write '" + metrics_path + "'");
-    obs::WriteMetricsText(metrics_file, metrics);
-    if (!flags.Has("quiet")) {
-      std::printf("metrics:     %s\n", metrics_path.c_str());
     }
   }
   if (!flags.Has("quiet")) {
@@ -490,13 +478,6 @@ int CmdSweep(const Flags& flags) {
     report_file << doc.Dump(2) << '\n';
     if (!flags.Has("quiet")) std::printf("report: %s\n", report_path.c_str());
   }
-  if (flags.Has("metrics-text")) {
-    const std::string metrics_path = flags.Get("metrics-text");
-    std::ofstream metrics_file(metrics_path);
-    EMIS_REQUIRE(metrics_file.good(), "cannot write '" + metrics_path + "'");
-    obs::WriteMetricsText(metrics_file, metrics);
-    if (!flags.Has("quiet")) std::printf("metrics: %s\n", metrics_path.c_str());
-  }
   return 0;
 }
 
@@ -535,14 +516,12 @@ void PrintUsage() {
       "               [--compaction on|off] [--engine coroutine|flat] [--shards N]\n"
       "               [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
-      "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
-      "               [--metrics-text FILE.prom] [--quiet]\n"
+      "               [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]\n"
       "  emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>\n"
       "               --sizes 64,128,... [--seeds K] [--avg-degree D] [--delta-unknown]\n"
       "               [--compaction on|off] [--engine coroutine|flat]\n"
       "               [--shards N] [--jobs N] [--report-out FILE.json]\n"
-      "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
-      "               [--metrics-text FILE.prom] [--quiet]\n"
+      "               [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]\n"
       "  emis_cli validate-report FILE.json\n"
       "                (run, bench, diff, and emis-lint-report/1|/2 schemas)\n"
       "cost knobs (identical results, different cost):\n"
@@ -559,7 +538,6 @@ void PrintUsage() {
       "  --flamegraph-out  collapsed-stack energy attribution (phase;sub w)\n"
       "  --telemetry-out   emis-telemetry/1 NDJSON stream (file or fd:N);\n"
       "                    --heartbeat-every R thins round events to every R\n"
-      "  --metrics-text    Prometheus text exposition of the metrics registry\n"
       "graph specs: %s\n",
       GraphSpecHelp().c_str());
 }

@@ -10,7 +10,9 @@
 // What is compared (the deterministic surface of each schema):
 //   run report    result.*, energy.* (totals + percentiles),
 //                 metrics.counters.*, energy_attribution totals and
-//                 per-(phase, sub) splits
+//                 per-(phase, sub) splits, and every phases[] span's
+//                 integral fields keyed by (position, label), so an added,
+//                 missing or reordered span fails closed
 //   bench report  failures, sweeps keyed by (title, n): runs/failures and
 //                 the *_mean columns, metrics.counters.*
 // What is NOT compared: wall_seconds, jobs, alloc, timers, gauges and
@@ -115,6 +117,31 @@ inline void FlattenCounters(const emis::obs::JsonValue& doc,
   }
 }
 
+/// The phases array in report (chronological) order: span i labelled L
+/// flattens to "phases.i.L.<field>" for each integral field it carries
+/// (residual_edges_* only where the span has a residual).
+inline void FlattenPhases(const emis::obs::JsonValue& doc,
+                          std::map<std::string, double>* out) {
+  const emis::obs::JsonValue* phases = doc.Find("phases");
+  if (phases == nullptr || !phases->IsArray()) return;
+  std::size_t i = 0;
+  for (const emis::obs::JsonValue& span : phases->Items()) {
+    const emis::obs::JsonValue* label = span.IsObject() ? span.Find("label") : nullptr;
+    if (label == nullptr || !label->IsString()) continue;
+    const std::string prefix =
+        "phases." + std::to_string(i++) + "." + label->AsString() + ".";
+    for (const std::string_view field :
+         {std::string_view("level"), std::string_view("begin_round"),
+          std::string_view("end_round"), std::string_view("rounds"),
+          std::string_view("transmit_rounds"), std::string_view("listen_rounds"),
+          std::string_view("awake_rounds"), std::string_view("residual_edges_begin"),
+          std::string_view("residual_edges_end")}) {
+      double value = 0.0;
+      if (FoldScalar(span, field, &value)) (*out)[prefix + std::string(field)] = value;
+    }
+  }
+}
+
 inline void FlattenRunReport(const emis::obs::JsonValue& doc,
                              std::map<std::string, double>* out) {
   FlattenKeys(doc, "result", "result",
@@ -159,6 +186,7 @@ inline void FlattenRunReport(const emis::obs::JsonValue& doc,
       }
     }
   }
+  FlattenPhases(doc, out);
   FlattenCounters(doc, out);
 }
 
