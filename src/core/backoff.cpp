@@ -4,15 +4,25 @@
 
 namespace emis {
 
-proc::Task<void> SndEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta) {
+proc::Task<void> SndEBackoffPayload(NodeApi api, std::uint32_t k, std::uint32_t delta,
+                                    std::uint64_t payload) {
   const std::uint32_t window = BackoffWindow(delta);
+  if (k == 0) co_return;
+  // Slot x ∈ {1..window}: geometric(1/2) capped at the window, so the last
+  // slot absorbs the tail (transmit prob. 2^-(window-1), paper App. C).
+  std::uint32_t x = std::min(api.Rand().GeometricHalf(), window);
+  co_await api.SleepFor(x - 1);
   for (std::uint32_t i = 0; i < k; ++i) {
-    // Slot x ∈ {1..window}: geometric(1/2) capped at the window, so the last
-    // slot absorbs the tail (transmit prob. 2^-(window-1), paper App. C).
-    const std::uint32_t x = std::min(api.Rand().GeometricHalf(), window);
-    co_await api.SleepFor(x - 1);
-    co_await api.Transmit(1);
-    co_await api.SleepFor(window - x);
+    // Iteration i's tail (window - x) and iteration i+1's lead-in (x' - 1)
+    // are one sleep, filed by the scheduler with the transmit: x' is drawn
+    // here, one step early — the sender draws nothing else in between, so
+    // its RNG stream is consumed in the same order.
+    Round sleep = window - x;
+    if (i + 1 < k) {
+      x = std::min(api.Rand().GeometricHalf(), window);
+      sleep += x - 1;
+    }
+    co_await api.TransmitThenSleepFor(payload, sleep);
   }
 }
 
@@ -36,17 +46,6 @@ proc::Task<bool> RecEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta,
   // Heard early: sleep out the rest of the backoff to stay synchronized.
   co_await api.SleepUntil(end_round);
   co_return heard;
-}
-
-proc::Task<void> SndEBackoffPayload(NodeApi api, std::uint32_t k, std::uint32_t delta,
-                                    std::uint64_t payload) {
-  const std::uint32_t window = BackoffWindow(delta);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::uint32_t x = std::min(api.Rand().GeometricHalf(), window);
-    co_await api.SleepFor(x - 1);
-    co_await api.Transmit(payload);
-    co_await api.SleepFor(window - x);
-  }
 }
 
 proc::Task<std::optional<std::uint64_t>> RecEBackoffCapture(NodeApi api,

@@ -25,8 +25,19 @@
 
 namespace emis {
 
-/// Sender side of the energy-efficient k-repeated backoff.
-proc::Task<void> SndEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta);
+/// Sender side of the energy-efficient k-repeated backoff, transmitting
+/// `payload` (the paper's algorithms are unary and send 1; the RADIO-CONGEST
+/// apps announce identifiers). One step per awake round: each iteration's
+/// post-transmit sleep and the next one's pre-transmit sleep are coalesced
+/// and fused with the transmit (NodeApi::TransmitThenSleepFor).
+proc::Task<void> SndEBackoffPayload(NodeApi api, std::uint32_t k, std::uint32_t delta,
+                                    std::uint64_t payload);
+
+/// The unary sender: SndEBackoffPayload with payload 1. Returns the callee's
+/// task directly, so it adds no coroutine frame.
+inline proc::Task<void> SndEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta) {
+  return SndEBackoffPayload(api, k, delta, 1);
+}
 
 /// Receiver side; returns true iff a message was heard. `delta_est` bounds
 /// how long the receiver listens per iteration (defaults to Δ at call sites
@@ -40,16 +51,10 @@ proc::Task<void> SndDecay(NodeApi api, std::uint32_t k, std::uint32_t delta);
 /// Receiver side of traditional Decay: listens every round, no early sleep.
 proc::Task<bool> RecDecay(NodeApi api, std::uint32_t k, std::uint32_t delta);
 
-/// RADIO-CONGEST variants for the application layer (apps/): the paper's
-/// algorithms are unary, but a backoff can just as well carry an O(log n)-
-/// bit payload — e.g. a cluster head announcing its identifier.
-/// Sender side: like SndEBackoff but transmits `payload`.
-proc::Task<void> SndEBackoffPayload(NodeApi api, std::uint32_t k, std::uint32_t delta,
-                                    std::uint64_t payload);
-
-/// Receiver side: like RecEBackoff but captures the first cleanly received
-/// payload. Returns the payload, or nullopt if nothing was received in k
-/// iterations. (In the CD model a collision wakes nobody here: only a clean
+/// RADIO-CONGEST receiver for the application layer (apps/): like
+/// RecEBackoff but captures the first cleanly received payload — e.g. a
+/// cluster head's identifier. Returns the payload, or nullopt if nothing
+/// was received in k iterations. (In the CD model a collision wakes nobody here: only a clean
 /// single-transmitter message carries data.)
 proc::Task<std::optional<std::uint64_t>> RecEBackoffCapture(NodeApi api,
                                                             std::uint32_t k,

@@ -108,6 +108,14 @@ void RequireLaneBounds(const NoCdParams& p) {
     case __LINE__:; \
   } while (0)
 
+#define FLAT_TRANSMIT_THEN_SLEEP(c, payload, rounds) \
+  do { \
+    (c).TransmitThenSleepFor((payload), (rounds)); \
+    pc_ = __LINE__; \
+    return false; \
+    case __LINE__:; \
+  } while (0)
+
 #define FLAT_LISTEN(c) \
   do { \
     (c).Listen(); \
@@ -170,16 +178,34 @@ struct BackoffLane {
 static_assert(sizeof(BackoffLane) <= kBackoffLaneBytes,
               "BackoffLane outgrew its size budget (radio/size_budget.hpp)");
 
-/// SndEBackoff(k, delta).
+/// A backoff iteration's slot: x ∈ {1..window}, geometric(1/2) capped at
+/// the window (core/backoff.cpp).
+std::uint8_t DrawSlot(const FlatCtx& c, std::uint32_t window) {
+  return static_cast<std::uint8_t>(std::min(c.Rand().GeometricHalf(), window));
+}
+
+/// The sleep fused with iteration t.i's transmit: its tail, plus — unless it
+/// is the last iteration — the next slot's lead-in, drawn into t.x here.
+Round FusedSndESleep(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
+                     std::uint32_t window) {
+  Round sleep = window - t.x;
+  if (t.i + 1u < k) {
+    t.x = DrawSlot(c, window);
+    sleep += t.x - 1;
+  }
+  return sleep;
+}
+
+/// SndEBackoffPayload(k, delta, payload).
 bool StepSndE(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
-              std::uint32_t delta) {
+              std::uint32_t delta, std::uint64_t payload) {
   const std::uint32_t window = BackoffWindow(delta);
   FLAT_BEGIN(t.pc);
+  if (k == 0) return true;
+  t.x = DrawSlot(c, window);
+  FLAT_SLEEP_FOR(c, t.x - 1);
   for (t.i = 0; t.i < k; ++t.i) {
-    t.x = static_cast<std::uint8_t>(std::min(c.Rand().GeometricHalf(), window));
-    FLAT_SLEEP_FOR(c, t.x - 1);
-    FLAT_TRANSMIT(c, 1);
-    FLAT_SLEEP_FOR(c, window - t.x);
+    FLAT_TRANSMIT_THEN_SLEEP(c, payload, FusedSndESleep(t, c, k, window));
   }
   FLAT_END();
 }
@@ -213,7 +239,7 @@ bool StepSndDecay(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
   FLAT_BEGIN(t.pc);
   c.SubPhase("decay");
   for (t.i = 0; t.i < k; ++t.i) {
-    t.x = static_cast<std::uint8_t>(std::min(c.Rand().GeometricHalf(), window));
+    t.x = DrawSlot(c, window);
     for (t.j = 0; t.j < window; ++t.j) {
       if (t.j < t.x) {
         FLAT_TRANSMIT(c, 1);
@@ -244,7 +270,7 @@ bool StepRecDecay(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
 /// case-label sets, but a given lane only ever runs one of them per call.
 bool StepSnd(BackoffLane& t, const FlatCtx& c, BackoffStyle style,
              std::uint32_t k, std::uint32_t delta) {
-  return style == BackoffStyle::kEnergyEfficient ? StepSndE(t, c, k, delta)
+  return style == BackoffStyle::kEnergyEfficient ? StepSndE(t, c, k, delta, 1)
                                                  : StepSndDecay(t, c, k, delta);
 }
 bool StepRec(BackoffLane& t, const FlatCtx& c, BackoffStyle style,
@@ -263,7 +289,7 @@ bool StepMarkExchange(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
   t.heard = false;
   for (t.i = 0; t.i < k && !t.heard; ++t.i) {
     if (c.Rand().Bit()) {
-      t.x = static_cast<std::uint8_t>(std::min(c.Rand().GeometricHalf(), window));
+      t.x = DrawSlot(c, window);
       FLAT_SLEEP_FOR(c, t.x - 1);
       FLAT_TRANSMIT(c, 1);
     } else {
@@ -599,7 +625,7 @@ bool StepGhaffari(GhaffariLane& t, const FlatCtx& c, const GhaffariParams& p) {
     // --- 2. Join + announce ----------------------------------------------
     if (t.marked && !t.heard_mark) {
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.announce_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.announce_reps, p.delta, 1));
       t.result = MisStatus::kInMis;
       return true;
     }
@@ -710,7 +736,7 @@ bool StepCompetition(CompetitionLane& t, const FlatCtx& c, const NoCdParams& p) 
   for (t.j = 0; t.j < p.rank_bits; ++t.j) {
     if (c.Rand().Bit()) {
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta, 1));
       continue;
     }
     t.bk.Start();
@@ -768,14 +794,14 @@ bool StepNoCdEpoch(NoCdEpochLane& t, const FlatCtx& c, const NoCdParams& p,
                               sched.CompetitionEnd());
       c.SubPhase("deep-check");
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta, 1));
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta, 1));
       FLAT_SLEEP_UNTIL(c, start + static_cast<Round>(t.i) * sched.phase +
                               sched.LowDegreeEnd());
       c.SubPhase("shallow-check");
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta, 1));
       continue;
     }
     if (*status != MisStatus::kUndecided) return true;  // decided earlier
@@ -799,12 +825,12 @@ bool StepNoCdEpoch(NoCdEpochLane& t, const FlatCtx& c, const NoCdParams& p,
       *status = MisStatus::kInMis;
       // Deep check B: announce as a fresh MIS node (lines 14-15).
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.deep_reps, p.delta, 1));
       FLAT_SLEEP_UNTIL(c, start + static_cast<Round>(t.i) * sched.phase +
                               sched.LowDegreeEnd());
       c.SubPhase("shallow-check");
       t.bk.Start();
-      FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta));
+      FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta, 1));
     } else if (t.comp.outcome == CompetitionOutcome::kCommit) {
       // Committed nodes sleep through deep check A (line 12)...
       FLAT_SLEEP_UNTIL(c, start + static_cast<Round>(t.i) * sched.phase +
@@ -844,7 +870,7 @@ bool StepNoCdEpoch(NoCdEpochLane& t, const FlatCtx& c, const NoCdParams& p,
       c.SubPhase("shallow-check");
       if (*in_mis) {
         t.bk.Start();
-        FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta));
+        FLAT_AWAIT(StepSndE(t.bk, c, p.shallow_reps, p.delta, 1));
       } else {
         t.bk.Start();
         FLAT_AWAIT(StepRecE(t.bk, c, p.shallow_reps, p.delta, p.delta));
@@ -990,7 +1016,7 @@ class FlatDeltaDoublingMis final : public FlatProtocol {
         for (t.it = 0; t.it < params_.verify_reps && t.in_mis; ++t.it) {
           if (c.Rand().Bit()) {
             t.bk.Start();
-            FLAT_AWAIT(StepSndE(t.bk, c, 1, guesses_[t.g]));
+            FLAT_AWAIT(StepSndE(t.bk, c, 1, guesses_[t.g], 1));
           } else {
             t.bk.Start();
             FLAT_AWAIT(StepRecE(t.bk, c, 1, guesses_[t.g], guesses_[t.g]));
@@ -1024,9 +1050,35 @@ class FlatDeltaDoublingMis final : public FlatProtocol {
   std::vector<DeltaLane> lanes_;
 };
 
+// ---------------------------------------------------------------------------
+// A lone energy-efficient sender: flat mirror of a root SndEBackoffPayload
+// ---------------------------------------------------------------------------
+
+class FlatSndEBackoff final : public FlatProtocol {
+ public:
+  FlatSndEBackoff(std::uint32_t k, std::uint32_t delta, std::uint64_t payload,
+                  NodeId num_nodes)
+      : k_(k), delta_(delta), payload_(payload), lanes_(num_nodes) {}
+
+  void Step(NodeId v, NodeContext ctx) override {
+    if (StepSndE(lanes_[v], FlatCtx(ctx), k_, delta_, payload_)) ctx.MarkDone();
+  }
+
+  LaneLayout Lanes() const noexcept override {
+    return {lanes_.data(), sizeof(BackoffLane)};
+  }
+
+ private:
+  std::uint32_t k_;
+  std::uint32_t delta_;
+  std::uint64_t payload_;
+  std::vector<BackoffLane> lanes_;
+};
+
 #undef FLAT_BEGIN
 #undef FLAT_END
 #undef FLAT_TRANSMIT
+#undef FLAT_TRANSMIT_THEN_SLEEP
 #undef FLAT_LISTEN
 #undef FLAT_SLEEP_FOR
 #undef FLAT_SLEEP_UNTIL
@@ -1064,6 +1116,14 @@ std::unique_ptr<FlatProtocol> FlatDeltaDoublingMisProtocol(
     DeltaDoublingParams params, std::vector<MisStatus>* out, NodeId num_nodes) {
   EMIS_REQUIRE(out != nullptr, "output vector required");
   return std::make_unique<FlatDeltaDoublingMis>(params, out, num_nodes);
+}
+
+std::unique_ptr<FlatProtocol> FlatSndEBackoffProtocol(std::uint32_t k,
+                                                      std::uint32_t delta,
+                                                      std::uint64_t payload,
+                                                      NodeId num_nodes) {
+  EMIS_REQUIRE(k <= kCounterMax, "k exceeds lane counter width");
+  return std::make_unique<FlatSndEBackoff>(k, delta, payload, num_nodes);
 }
 
 }  // namespace emis

@@ -46,4 +46,12 @@ std::unique_ptr<FlatProtocol> FlatGhaffariMisProtocol(
 std::unique_ptr<FlatProtocol> FlatDeltaDoublingMisProtocol(
     DeltaDoublingParams params, std::vector<MisStatus>* out, NodeId num_nodes);
 
+/// Flat mirror of a root program that runs SndEBackoffPayload(k, delta,
+/// payload) once (core/backoff.cpp) and finishes — the energy-efficient
+/// sender alone, for tests and benches that pin its per-round cost.
+std::unique_ptr<FlatProtocol> FlatSndEBackoffProtocol(std::uint32_t k,
+                                                      std::uint32_t delta,
+                                                      std::uint64_t payload,
+                                                      NodeId num_nodes);
+
 }  // namespace emis

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "core/contracts.hpp"
 #include "obs/phase_timeline.hpp"
 #include "radio/model.hpp"
 #include "radio/process.hpp"
@@ -76,6 +77,16 @@ class FlatCtx {
   /// immediately after (the protothread macros in core/flat_mis.cpp do).
   void Transmit(std::uint64_t payload = 1) const noexcept {
     ctx_.hot->FileTransmit(payload);
+  }
+
+  /// Files one awake transmit round followed by a `rounds`-round sleep
+  /// that the scheduler files itself: the next Step() comes at round
+  /// Now() + 1 + rounds. The NodeApi::TransmitThenSleepFor mirror; the
+  /// caller must yield immediately after, as for Transmit.
+  void TransmitThenSleepFor(std::uint64_t payload, Round rounds) const {
+    EMIS_EXPECTS(rounds <= HotNodeContext::kSleepAfterMax,
+                 "fused post-transmit sleep exceeds kSleepAfterMax");
+    ctx_.hot->FileTransmitThenSleep(payload, rounds);
   }
 
   /// Files one awake listen round.

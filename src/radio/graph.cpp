@@ -19,7 +19,48 @@ void ClearBit(std::uint64_t* bits, NodeId v) noexcept {
   bits[v >> 6] &= ~(1ULL << (v & 63));
 }
 
+/// What CheckRows found wrong with a CSR's adjacency content.
+struct RowFaults {
+  bool out_of_range = false;  ///< an entry names no node (id ≥ n)
+  bool self_loop = false;     ///< an entry names its own row's node
+
+  void Require() const {
+    EMIS_REQUIRE(!out_of_range, "graph adjacency names a node id >= the node count");
+    EMIS_REQUIRE(!self_loop, "graph adjacency holds a self-loop");
+  }
+};
+
+/// Reads every entry of rows [lo, hi) once, recording the faults a mapped
+/// CSR's loader defers (MapBinaryCsr) — and, with kCopy, writing each entry
+/// to `dst` at its CSR position in the same pass.
+template <bool kCopy>
+RowFaults CheckRows(std::span<const std::uint64_t> offsets,
+                    std::span<const NodeId> source, NodeId lo, NodeId hi,
+                    NodeId* dst) {
+  // Branch-free reductions (largest id, OR of self-entry flags), so the
+  // per-row loop vectorizes like the plain copy it replaces.
+  NodeId max_id = 0;
+  std::uint32_t self_loop = 0;
+  for (NodeId v = lo; v < hi; ++v) {
+    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const NodeId u = source[i];
+      if constexpr (kCopy) dst[i] = u;
+      max_id = std::max(max_id, u);
+      self_loop |= u == v ? 1u : 0u;
+    }
+  }
+  const bool has_entries = offsets[hi] > offsets[lo];
+  return {has_entries && max_id >= static_cast<NodeId>(offsets.size() - 1),
+          self_loop != 0};
+}
+
 }  // namespace
+
+void RequireAdjacencyIds(const Graph& graph) {
+  CheckRows<false>(graph.RowOffsets(), graph.Adjacency(), 0, graph.NumNodes(),
+                   nullptr)
+      .Require();
+}
 
 Graph Graph::FromEdges(NodeId num_nodes, std::span<const Edge> edges) {
   GraphBuilder builder(num_nodes);
@@ -84,17 +125,20 @@ ResidualGraph::ResidualGraph(const Graph& graph, unsigned jobs)
   AdviseHugePages(adjacency_.get(), source.size() * sizeof(NodeId));
   const unsigned parts = source.size() < kParallelMinEntries ? 1 : std::max(jobs, 1u);
   const std::vector<NodeId> cut = EdgeBalancedCut(offsets, parts);
+  // The copy is the run's first read of every entry, so it also checks the
+  // ids a mapped CSR's loader leaves unchecked — before any scan trusts them.
+  std::vector<RowFaults> faults(parts);
   par::ParallelFor(parts, parts, [&](std::uint64_t part, unsigned) {
     const NodeId lo = cut[part];
     const NodeId hi = cut[part + 1];
-    std::copy(source.begin() + static_cast<std::ptrdiff_t>(offsets[lo]),
-              source.begin() + static_cast<std::ptrdiff_t>(offsets[hi]),
-              adjacency_.get() + offsets[lo]);
+    RowFaults& part_faults = faults[part];
+    part_faults = CheckRows<true>(offsets, source, lo, hi, adjacency_.get());
     for (NodeId v = lo; v < hi; ++v) {
       const auto degree = static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
       rows_[v] = {offsets[v], degree, degree};
     }
   });
+  for (const RowFaults& f : faults) f.Require();
 }
 
 void ResidualGraph::RetireBatch(std::span<const NodeId> batch,

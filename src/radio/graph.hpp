@@ -51,12 +51,18 @@ class Graph {
   /// mmap) alive for the graph's lifetime; copies of the graph share it.
   /// The arrays must already satisfy the class invariants (symmetric,
   /// sorted rows, no self-loops or duplicates): the binary loader validates
-  /// the header and section bounds, not the adjacency content, exactly so
-  /// that loading never has to fault in the full edge array.
+  /// the header, section bounds and monotone offsets, not the adjacency
+  /// content, exactly so that loading never has to fault in the full edge
+  /// array. A run checks ids and self-loops when it first reads the
+  /// entries (ResidualGraph, RequireAdjacencyIds).
   static Graph FromMappedCsr(std::shared_ptr<const void> owner,
                              const std::uint64_t* offsets, NodeId num_nodes,
                              const NodeId* adjacency, std::uint64_t adj_entries,
                              std::uint32_t max_degree);
+
+  /// Whether the CSR is a FromMappedCsr view (an untrusted file's bytes)
+  /// rather than storage built and validated in process.
+  bool Mapped() const noexcept { return mapping_ != nullptr; }
 
   NodeId NumNodes() const noexcept {
     return mapping_ == nullptr ? static_cast<NodeId>(offsets_.size() - 1)
@@ -150,6 +156,12 @@ struct InducedSubgraph {
   std::vector<NodeId> to_original;  // subgraph id -> original id
 };
 
+/// Throws PreconditionError unless every adjacency entry of `graph` names
+/// a node below NumNodes() other than its own row's. One O(m) pass: the
+/// content check a mapped CSR's loader defers (MapBinaryCsr), for runs
+/// that build no ResidualGraph, whose copy makes the same check.
+void RequireAdjacencyIds(const Graph& graph);
+
 /// Cuts the node range of a CSR with `offsets` (NumNodes() + 1 entries) into
 /// `parts` contiguous row ranges holding roughly equal numbers of directed
 /// adjacency entries. Returns the parts + 1 monotone boundaries, first 0 and
@@ -206,7 +218,8 @@ class ResidualGraph {
   /// adjacency is copied (it is compacted in place) on `jobs` workers over
   /// edge-balanced row ranges — inline when the graph has fewer than
   /// kParallelMinEntries entries; `graph` itself is only read during
-  /// construction.
+  /// construction. The copy checks each entry as RequireAdjacencyIds does
+  /// and throws PreconditionError on an id ≥ n or a self-loop.
   explicit ResidualGraph(const Graph& graph, unsigned jobs = 1);
 
   /// Directed adjacency entries below which a pass over them (the copy, or

@@ -171,10 +171,18 @@ Graph MapBinaryCsr(const std::string& path) {
       reinterpret_cast<const std::uint64_t*>(bytes + header.offsets_start);
   const auto* adjacency =
       reinterpret_cast<const NodeId*>(bytes + header.adjacency_start);
-  // Row-offset sanity at O(1) cost (ends only; interior pages stay cold so
-  // the load never touches the full arrays).
   EMIS_REQUIRE(offsets[0] == 0 && offsets[header.num_nodes] == header.adj_entries,
                "emis-csr offset array does not span the adjacency section");
+  // Monotone offsets keep every row inside the adjacency section: one O(n)
+  // pass over the offset array. The O(m) adjacency content (ids < n, no
+  // self-loops) is checked where a run first reads every entry anyway —
+  // the residual copy, ResidualGraph — so loading never faults in the
+  // full edge array.
+  bool descending = false;
+  for (std::uint64_t v = 0; v < header.num_nodes; ++v) {
+    descending |= offsets[v + 1] < offsets[v];
+  }
+  EMIS_REQUIRE(!descending, "emis-csr row offsets are not monotone");
   AdviseHugePages(const_cast<char*>(bytes), size);
   return Graph::FromMappedCsr(std::move(owner), offsets,
                               static_cast<NodeId>(header.num_nodes), adjacency,

@@ -58,12 +58,13 @@ Graph ReadEdgeList(std::istream& in);
 void WriteBinaryCsr(std::ostream& out, const Graph& graph);
 
 /// Memory-maps an emis-csr/1 file read-only and wraps it as a Graph without
-/// copying: only the header is validated (magic, endianness, version,
-/// section bounds, file size), so the load faults in O(1) pages — adjacency
-/// pages fault lazily on first scan. The mapping is advised towards huge
-/// pages and stays alive as long as any copy of the returned Graph does.
-/// Throws PreconditionError on malformed, foreign-endian, or truncated
-/// files.
+/// copying: the header (magic, endianness, version, section bounds, file
+/// size) and the row offsets (monotone, one O(n) pass) are validated, so
+/// the load never faults in an adjacency page — those fault lazily on
+/// first scan, and the run checks their ids then (RequireAdjacencyIds).
+/// The mapping is advised towards huge pages and stays alive as long as
+/// any copy of the returned Graph does. Throws PreconditionError on
+/// malformed, foreign-endian, or truncated files.
 Graph MapBinaryCsr(const std::string& path);
 
 /// Builds a graph from a spec string (see header comment). Randomized

@@ -8,6 +8,8 @@
 //     Reception r = co_await api.Listen();       // one round, awake
 //     co_await api.SleepFor(10);                 // ten rounds, free
 //     co_await api.SleepUntil(phase_end);        // absolute-round sync point
+//     co_await api.TransmitThenSleepFor(1, 4);   // one awake round, then four
+//                                                // free ones, one resume
 //   }
 //
 // Sub-protocols compose by awaiting Tasks (`bool heard = co_await
@@ -27,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "obs/phase_timeline.hpp"
 #include "radio/energy.hpp"
 #include "radio/frame_arena.hpp"
@@ -86,6 +89,17 @@ struct HotNodeContext {
 
   std::uint8_t flags = static_cast<std::uint8_t>(ActionKind::kSleep);
 
+  /// Rounds the node sleeps after its pending transmit executes — the fused
+  /// NodeApi::TransmitThenSleepFor / FlatCtx::TransmitThenSleepFor action;
+  /// 0 for a plain transmit. Set only together with kTransmit: the
+  /// scheduler files the sleep itself after the round instead of stepping
+  /// the node (Scheduler::AdvanceNode). Fills two of the three bytes the
+  /// flags byte left as padding, so the context stays 16 bytes.
+  std::uint16_t sleep_after = 0;
+
+  /// Longest fused post-transmit sleep the `sleep_after` field holds.
+  static constexpr Round kSleepAfterMax = 0xffff;
+
   /// Action submitted by the protocol for resolution.
   ActionKind Pending() const noexcept {
     return static_cast<ActionKind>(flags & kPendingMask);
@@ -102,8 +116,14 @@ struct HotNodeContext {
   bool HasPhaseNotes() const noexcept { return (flags & kPhaseNotesBit) != 0; }
 
   void FileTransmit(std::uint64_t payload) noexcept {
+    FileTransmitThenSleep(payload, 0);
+  }
+  /// Transmit `payload`, then sleep `rounds` (≤ kSleepAfterMax) rounds
+  /// without a step in between; rounds == 0 is a plain transmit.
+  void FileTransmitThenSleep(std::uint64_t payload, Round rounds) noexcept {
     SetPending(ActionKind::kTransmit);
     arg = payload;
+    sleep_after = static_cast<std::uint16_t>(rounds);
   }
   void FileListen() noexcept { SetPending(ActionKind::kListen); }
   void FileSleep(Round wake) noexcept {
@@ -343,9 +363,12 @@ struct ActionAwaitBase {
 
 struct TransmitAwait : ActionAwaitBase {
   std::uint64_t payload;
+  /// The fused post-transmit sleep (NodeApi::TransmitThenSleepFor); 0 for
+  /// a plain transmit.
+  Round sleep_after = 0;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const noexcept {
-    ctx.hot->FileTransmit(payload);
+    ctx.hot->FileTransmitThenSleep(payload, sleep_after);
     Park(h);
   }
   void await_resume() const noexcept {}
@@ -415,6 +438,20 @@ class NodeApi {
   /// are unary and always send 1; baselines send IDs.
   detail_await::TransmitAwait Transmit(std::uint64_t payload = 1) const noexcept {
     return {{ctx_}, payload};
+  }
+
+  /// Transmit(payload), then SleepFor(rounds), as one action: the
+  /// coroutine resumes once, at round Now() + 1 + rounds. The scheduler
+  /// files the sleep itself after the transmit round, so the step that
+  /// would only have filed it never runs. Traces, energy and phases are
+  /// those of the two-await form (sleeps are not events); `rounds` == 0 is
+  /// exactly Transmit(payload). Requires rounds ≤
+  /// HotNodeContext::kSleepAfterMax.
+  detail_await::TransmitAwait TransmitThenSleepFor(std::uint64_t payload,
+                                                   Round rounds) const {
+    EMIS_EXPECTS(rounds <= HotNodeContext::kSleepAfterMax,
+                 "fused post-transmit sleep exceeds kSleepAfterMax");
+    return {{ctx_}, payload, rounds};
   }
 
   /// Spend one awake round listening; yields what was heard.

@@ -53,10 +53,15 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     BuildShardCut();
   }
   shard_tx_count_.assign(shards_, 0);
+  shard_fused_count_.assign(shards_, 0);
   shard_listen_count_.assign(shards_, 0);
   if (config_.compaction) {
     residual_.emplace(graph, shards_);
     channel_.AttachResidual(&*residual_);
+  } else if (graph.Mapped()) {
+    // Without the overlay no copy reads the file's entries before the
+    // channel indexes by them: check them on their own.
+    RequireAdjacencyIds(graph);
   }
   if (config_.ledger != nullptr) {
     EMIS_EXPECTS(config_.ledger->NumNodes() == graph.NumNodes(),
@@ -100,6 +105,7 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     rounds_executed_ = &config_.metrics->GetCounter("sched.rounds_executed");
     rounds_skipped_ = &config_.metrics->GetCounter("sched.rounds_skipped");
     wake_events_ = &config_.metrics->GetCounter("sched.wake_events");
+    steps_metric_ = &config_.metrics->GetCounter("sched.steps");
     push_rounds_ = &config_.metrics->GetCounter("chan.push_rounds");
     pull_rounds_ = &config_.metrics->GetCounter("chan.pull_rounds");
     edges_scanned_ = &config_.metrics->GetCounter("chan.edges_scanned");
@@ -236,6 +242,17 @@ void Scheduler::AdvanceNode(NodeId v, Round round) {
   HotNodeContext& hot = ctx_hot_[v];
   EMIS_INVARIANT(hot.Pending() != ActionKind::kSleep || hot.WakeRound() == round,
                  "missed a wake event");
+  if (hot.Pending() == ActionKind::kTransmit && hot.sleep_after != 0) {
+    // A fused transmit-then-sleep: the step after the transmit would only
+    // file this sleep, so file it here and step nothing. The wake it files
+    // is due exactly when the node's next step is, which the check above
+    // verifies when it comes.
+    EMIS_INVARIANT(round == Round{hot.now} + 1,
+                   "fused transmit advanced past its transmit round");
+    hot.now = static_cast<std::uint32_t>(round);
+    hot.FileSleep(round + hot.sleep_after);
+    return;
+  }
   hot.now = static_cast<std::uint32_t>(round);
   if (flat_ != nullptr) {
     flat_->Step(v, View(v));
@@ -257,6 +274,7 @@ void Scheduler::SplitIntoParts(std::span<const NodeId> batch) {
 }
 
 void Scheduler::StepAndFile(std::span<const NodeId> batch, Round round) {
+  advances_ += batch.size();
   const unsigned parts = PassParts(batch.size());
   if (parts > 1) {
     SplitIntoParts(batch);
@@ -463,6 +481,7 @@ void Scheduler::ExecuteRound() {
     for (unsigned s = 0; s < parts; ++s) {
       if (parts > 1) merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
       tx_total += shard_tx_count_[s];
+      fused_transmits_ += shard_fused_count_[s];
     }
     par::ParallelFor(parts, parts, [this, parts](std::uint64_t s, unsigned) {
       ShardListenPass(static_cast<unsigned>(s), parts);
@@ -494,6 +513,7 @@ void Scheduler::ExecuteRound() {
 void Scheduler::ShardTransmitPass(unsigned s, unsigned parts) {
   const std::span<const NodeId> list = Part(actors_, parts, s);
   std::uint64_t transmits = 0;
+  std::uint64_t fused = 0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i + 8 < list.size()) {
       __builtin_prefetch(&ctx_hot_[list[i + 8]], 0, 1);
@@ -509,8 +529,10 @@ void Scheduler::ShardTransmitPass(unsigned s, unsigned parts) {
     energy_.ChargeTransmitLocal(v);
     if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
     ++transmits;
+    fused += hot.sleep_after != 0 ? 1 : 0;
   }
   shard_tx_count_[s] = transmits;
+  shard_fused_count_[s] = fused;
 }
 
 void Scheduler::ShardListenPass(unsigned s, unsigned parts) {
@@ -641,6 +663,11 @@ RunStats Scheduler::RunUntil(Round limit) {
     mem_hot_metric_->Set(n * static_cast<double>(sizeof(HotNodeContext)));
     mem_cold_metric_->Set(n * static_cast<double>(sizeof(ColdNodeContext)));
     mem_lane_metric_->Set(n * static_cast<double>(flat_lanes_.stride));
+  }
+  if (steps_metric_ != nullptr) {
+    const std::uint64_t steps = advances_ - fused_transmits_;
+    steps_metric_->Inc(steps - steps_flushed_);
+    steps_flushed_ = steps;
   }
   if (live_edges_metric_ != nullptr && residual_.has_value()) {
     live_edges_metric_->Set(static_cast<double>(residual_->LiveEdges()));

@@ -72,7 +72,9 @@ struct SchedulerConfig {
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
   /// "sched.wake_heap", and "graph.retire" — the retire passes, nested in
   /// the resume/wake scopes), counters ("sched.rounds_executed",
-  /// "sched.rounds_skipped", "sched.wake_events", "chan.push_rounds",
+  /// "sched.rounds_skipped", "sched.wake_events", "sched.steps" — protocol
+  /// steps or coroutine resumes, spawn included, fused post-transmit
+  /// sleeps excluded — "chan.push_rounds",
   /// "chan.pull_rounds", "chan.edges_scanned", "graph.compactions",
   /// "graph.edges_reclaimed"), the residual gauges ("chan.live_edges",
   /// "graph.retire_batches"),
@@ -227,10 +229,13 @@ class Scheduler {
   /// its coroutine or stepping its flat lane, per config.engine. Touches
   /// only v's own context, lane and RNG stream, so calls for distinct nodes
   /// may run concurrently (flat engine). A node stepped out of sleep must be
-  /// due exactly at `round`. Declared inline (defined and used only in
-  /// scheduler.cpp) so g++ inlines it into both step loops of StepAndFile:
-  /// left to its heuristics it kept an out-of-line call in the one-part
-  /// loop, the coroutine engine's resume path.
+  /// due exactly at `round`. A node whose transmit was fused with a sleep
+  /// (HotNodeContext::sleep_after) is not stepped: it must be advancing to
+  /// the round after its transmit, and gets that sleep filed instead.
+  /// Declared inline (defined and used only in scheduler.cpp) so g++
+  /// inlines it into both step loops of StepAndFile: left to its heuristics
+  /// it kept an out-of-line call in the one-part loop, the coroutine
+  /// engine's resume path.
   inline void AdvanceNode(NodeId v, Round round);
 
   /// The one step-then-file pass (spawn, wake drain, round resume): advances
@@ -385,6 +390,7 @@ class Scheduler {
   // Per-part charge tallies from the round passes (entry 0 at one part),
   // summed serially into the EnergyMeter totals once per round.
   std::vector<std::uint64_t> shard_tx_count_;
+  std::vector<std::uint64_t> shard_fused_count_;  ///< fused transmits per part
   std::vector<std::uint64_t> shard_listen_count_;
   std::uint64_t merge_words_ = 0;  ///< words OR-merged across all rounds
   std::uint64_t barrier_waits_base_ = 0;  ///< par::BarrierWaits at ctor
@@ -418,6 +424,11 @@ class Scheduler {
   Round last_awake_round_ = 0;
   bool any_awake_round_ = false;
   std::uint64_t node_rounds_ = 0;
+  // Nodes passed to AdvanceNode, and the fused transmitters among them,
+  // which AdvanceNode reschedules without a step: sched.steps is the
+  // difference.
+  std::uint64_t advances_ = 0;
+  std::uint64_t fused_transmits_ = 0;
   NodeId finished_ = 0;
   NodeId retired_ = 0;  ///< decided nodes (telemetry's "decided" gauge)
   // The current filing pass's retirees in filing order, and the sum of
@@ -440,6 +451,7 @@ class Scheduler {
   obs::Counter* rounds_executed_ = nullptr;
   obs::Counter* rounds_skipped_ = nullptr;
   obs::Counter* wake_events_ = nullptr;
+  obs::Counter* steps_metric_ = nullptr;
   obs::Counter* push_rounds_ = nullptr;
   obs::Counter* pull_rounds_ = nullptr;
   obs::Counter* edges_scanned_ = nullptr;
@@ -455,6 +467,7 @@ class Scheduler {
   obs::Gauge* mem_cold_metric_ = nullptr;
   obs::Gauge* mem_lane_metric_ = nullptr;
   // RunUntil may be called repeatedly; counters flush deltas against these.
+  std::uint64_t steps_flushed_ = 0;
   std::uint64_t compactions_flushed_ = 0;
   std::uint64_t edges_reclaimed_flushed_ = 0;
 };

@@ -18,7 +18,8 @@ namespace emis {
 
 /// HotNodeContext: the half of a node's state the scheduler streams on
 /// every resume — pending action argument, narrowed round clock, packed
-/// flags. Two 8-byte slots; four nodes per cache line, none straddling.
+/// flags, fused post-transmit sleep. Two 8-byte slots; four nodes per cache
+/// line, none straddling.
 inline constexpr std::size_t kHotContextBytes = 16;
 
 /// ColdNodeContext: RNG state, last reception, coroutine handle, and the

@@ -6,8 +6,11 @@
 
 #include <cmath>
 
+#include "core/flat_mis.hpp"
+#include "obs/metrics.hpp"
 #include "radio/graph_generators.hpp"
 #include "radio/scheduler.hpp"
+#include "trace_hash.hpp"
 
 namespace emis {
 namespace {
@@ -220,6 +223,127 @@ TEST(EBackoff, BackToBackCallsStaySynchronized) {
   });
   sched.Run();
   EXPECT_TRUE(probe.heard);
+}
+
+// ---- Simulator cost: one step per awake round (Algorithm 4, Lemma 8) -------
+
+/// The sender as written before its sleeps were coalesced and fused: the
+/// reference the fused SndEBackoff must reproduce round for round.
+proc::Task<void> UnfusedSndEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta) {
+  const std::uint32_t window = BackoffWindow(delta);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const std::uint32_t x = std::min(api.Rand().GeometricHalf(), window);
+    co_await api.SleepFor(x - 1);
+    co_await api.Transmit(1);
+    co_await api.SleepFor(window - x);
+  }
+}
+
+struct SenderRun {
+  std::uint64_t steps = 0;
+  std::uint64_t trace = 0;
+  Round rounds = 0;
+  std::uint64_t node_rounds = 0;
+  std::uint64_t next_draw = 0;  // the stream's next value after the backoff
+
+  friend bool operator==(const SenderRun&, const SenderRun&) = default;
+};
+
+enum class Sender { kFused, kUnfused, kFlat };
+
+proc::Task<void> SendThenDraw(NodeApi api, bool fused, std::uint32_t k,
+                              std::uint32_t delta, std::uint64_t* next_draw) {
+  if (fused) {
+    co_await SndEBackoff(api, k, delta);
+  } else {
+    co_await UnfusedSndEBackoff(api, k, delta);
+  }
+  *next_draw = api.Rand().NextU64();
+}
+
+/// One node running one SndEBackoff(k, delta) and nothing else.
+SenderRun RunLoneSender(Sender sender, std::uint32_t k, std::uint32_t delta,
+                        std::uint64_t seed) {
+  const Graph g = gen::Empty(1);
+  HashTrace trace;
+  obs::MetricsRegistry metrics;
+  const ExecutionEngine engine =
+      sender == Sender::kFlat ? ExecutionEngine::kFlat : ExecutionEngine::kCoroutine;
+  Scheduler sched(g,
+                  {.model = ChannelModel::kNoCd,
+                   .trace = &trace,
+                   .metrics = &metrics,
+                   .engine = engine,
+                   .shards = 1},
+                  seed);
+  SenderRun run;
+  if (sender == Sender::kFlat) {
+    sched.SpawnFlat(FlatSndEBackoffProtocol(k, delta, 1, g.NumNodes()));
+  } else {
+    sched.Spawn([&](NodeApi api) -> proc::Task<void> {
+      return SendThenDraw(api, sender == Sender::kFused, k, delta, &run.next_draw);
+    });
+  }
+  const RunStats stats = sched.Run();
+  EXPECT_TRUE(sched.AllFinished());
+  run.steps = metrics.GetCounter("sched.steps").Value();
+  run.trace = trace.Value();
+  run.rounds = stats.rounds_used;
+  run.node_rounds = stats.node_rounds;
+  return run;
+}
+
+TEST(EBackoff, LoneSenderTakesOneStepPerAwakeRound) {
+  for (const std::uint32_t delta : {2u, 16u, 1024u}) {
+    for (const std::uint32_t k : {1u, 2u, 8u, 40u}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const SenderRun fused = RunLoneSender(Sender::kFused, k, delta, seed);
+        const SenderRun unfused = RunLoneSender(Sender::kUnfused, k, delta, seed);
+        SenderRun flat = RunLoneSender(Sender::kFlat, k, delta, seed);
+        // Awake exactly k rounds (Lemma 8), stepped at most k + 2 times: the
+        // spawn, a wake into the first slot, one wake per later transmit
+        // and the step that returns. The two-sleep form steps after every
+        // transmit and wakes at least once more per iteration (a window of
+        // ≥ 2 rounds leaves a sleep before or after the slot): ≥ 2k + 1.
+        EXPECT_EQ(fused.node_rounds, k);
+        EXPECT_LE(fused.steps, k + 2) << "k=" << k << " delta=" << delta;
+        EXPECT_GE(unfused.steps, 2 * k + 1) << "k=" << k << " delta=" << delta;
+        // Same actions in the same rounds, and the same RNG draws.
+        EXPECT_EQ(fused.trace, unfused.trace);
+        EXPECT_EQ(fused.rounds, unfused.rounds);
+        EXPECT_EQ(fused.next_draw, unfused.next_draw);
+        // The flat mirror steps exactly as often (its program has no
+        // trailing draw to compare).
+        flat.next_draw = fused.next_draw;
+        EXPECT_EQ(flat, fused);
+      }
+    }
+  }
+}
+
+TEST(EBackoff, FusedSenderMatchesUnfusedAgainstAReceiver) {
+  // Leaves send, the hub listens: the fused sender's transmits land in the
+  // same rounds as the reference's, so the hub hears exactly the same.
+  const std::uint32_t k = 12, delta = 8;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    std::uint64_t hashes[2] = {};
+    for (const bool fused : {true, false}) {
+      const Graph g = gen::Star(6);
+      HashTrace trace;
+      Scheduler sched(g, {.model = ChannelModel::kNoCd, .trace = &trace}, seed);
+      BackoffProbe hub;
+      std::vector<std::uint64_t> draws(g.NumNodes());
+      sched.Spawn([&](NodeApi api) -> proc::Task<void> {
+        if (api.Id() == 0) {
+          return ReceiverNode(api, BackoffStyle::kEnergyEfficient, k, delta, delta, &hub);
+        }
+        return SendThenDraw(api, fused, k, delta, &draws[api.Id()]);
+      });
+      sched.Run();
+      hashes[fused ? 0 : 1] = trace.Value();
+    }
+    EXPECT_EQ(hashes[0], hashes[1]) << "seed " << seed;
+  }
 }
 
 }  // namespace

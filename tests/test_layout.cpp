@@ -36,13 +36,15 @@ static_assert(std::is_trivially_copyable_v<HotNodeContext>,
 TEST(HotContextLayout, SizeAlignmentAndFieldPlacement) {
   EXPECT_EQ(sizeof(HotNodeContext), kHotContextBytes);
   EXPECT_EQ(alignof(HotNodeContext), alignof(std::uint64_t));
-  // The action argument fills the first word; the narrowed clock and the
-  // packed flags byte share the second. Moving or widening any of these
-  // changes which lines the resume loop touches (16 B = four contexts per
-  // line, none straddling) — that is what this pin is for.
+  // The action argument fills the first word; the narrowed clock, the
+  // packed flags byte and the fused post-transmit sleep share the second.
+  // Moving or widening any of these changes which lines the resume loop
+  // touches (16 B = four contexts per line, none straddling) — that is
+  // what this pin is for.
   EXPECT_EQ(offsetof(HotNodeContext, arg), 0u);
   EXPECT_EQ(offsetof(HotNodeContext, now), 8u);
   EXPECT_EQ(offsetof(HotNodeContext, flags), 12u);
+  EXPECT_EQ(offsetof(HotNodeContext, sleep_after), 14u);
 }
 
 TEST(HotContextLayout, DefaultIsParkedSleeper) {
@@ -66,6 +68,17 @@ TEST(HotContextLayout, ActionFilingOverwritesTheArgumentSlot) {
   EXPECT_EQ(hot.WakeRound(), 17u);
   hot.FileListen();
   EXPECT_EQ(hot.Pending(), ActionKind::kListen);
+  // A fused transmit carries its sleep beside the payload; a plain one, or
+  // a fused one of length 0, clears it.
+  hot.FileTransmitThenSleep(0x12u, 6);
+  EXPECT_EQ(hot.Pending(), ActionKind::kTransmit);
+  EXPECT_EQ(hot.Payload(), 0x12u);
+  EXPECT_EQ(hot.sleep_after, 6u);
+  hot.FileTransmit(0x12u);
+  EXPECT_EQ(hot.sleep_after, 0u);
+  hot.FileTransmitThenSleep(0x12u, 6);
+  hot.FileTransmitThenSleep(0x12u, 0);
+  EXPECT_EQ(hot.sleep_after, 0u);
 }
 
 TEST(HotContextLayout, StatusBitsPackAndSurviveRefiling) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.hpp"
+#include "obs/metrics.hpp"
 #include "radio/graph_generators.hpp"
 #include "verify/mis_checker.hpp"
 
@@ -148,6 +149,36 @@ TEST(MisNoCd, DenseGraphResolves) {
   Graph g = gen::ErdosRenyi(64, 0.35, rng);
   auto r = RunNoCd(g, 13);
   EXPECT_TRUE(r.Valid()) << r.report.Describe();
+}
+
+// The simulator's cost tracks energy (DESIGN.md §2.1): on the sparse no-CD
+// shape, where in-MIS announcers run energy-efficient backoffs through every
+// remaining Luby phase, the scheduler steps a node about once per awake
+// round — with the sender's sleeps coalesced and fused, not ~1.7 times.
+TEST(MisNoCd, StepsTrackAwakeRoundsOnSparseGraphs) {
+  Rng rng(3);
+  const Graph g = gen::ErdosRenyi(4096, 8.0 / 4096, rng);
+  std::uint64_t reference_steps = 0;
+  for (const ExecutionEngine engine : {ExecutionEngine::kCoroutine, ExecutionEngine::kFlat}) {
+    for (const unsigned shards : {1u, 4u}) {
+      obs::MetricsRegistry metrics;
+      MisRunConfig cfg;
+      cfg.algorithm = MisAlgorithm::kNoCd;
+      cfg.seed = 1;
+      cfg.engine = engine;
+      cfg.shards = shards;
+      cfg.metrics = &metrics;
+      const MisRunResult r = RunMis(g, cfg);
+      EXPECT_TRUE(r.Valid());
+      const std::uint64_t steps = metrics.GetCounter("sched.steps").Value();
+      EXPECT_LE(static_cast<double>(steps),
+                1.1 * static_cast<double>(r.stats.node_rounds))
+          << "steps " << steps << " for " << r.stats.node_rounds << " awake node-rounds";
+      // A step count, not a cost: equal for every engine and shard count.
+      if (reference_steps == 0) reference_steps = steps;
+      EXPECT_EQ(steps, reference_steps);
+    }
+  }
 }
 
 }  // namespace

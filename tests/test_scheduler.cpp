@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "contract_mode_guard.hpp"
 #include "core/contracts.hpp"
+#include "obs/metrics.hpp"
 #include "radio/graph_generators.hpp"
+#include "trace_hash.hpp"
 
 namespace emis {
 namespace {
@@ -499,6 +503,121 @@ TEST(Scheduler, BeepingModelEndToEnd) {
   sched.Run();
   ASSERT_EQ(slots.heard.size(), 1u);
   EXPECT_EQ(slots.heard[0].kind, ReceptionKind::kBeep);
+}
+
+// --- Fused transmit-then-sleep ---------------------------------------------
+
+/// Transmits `payload` at round 0 (fused with a `sleep`-round sleep, or as
+/// Transmit + SleepFor), then listens once; records the listen's round.
+proc::Task<void> TransmitSleepListen(NodeApi api, bool fused, Round sleep,
+                                     Slots* out) {
+  if (fused) {
+    co_await api.TransmitThenSleepFor(9, sleep);
+  } else {
+    co_await api.Transmit(9);
+    co_await api.SleepFor(sleep);
+  }
+  out->acted_at.push_back(api.Now());
+  out->heard.push_back(co_await api.Listen());
+}
+
+struct FusedRun {
+  std::uint64_t trace = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t wake_events = 0;
+  RunStats stats;
+  Slots slots;
+};
+
+/// Both path:n=2 nodes run TransmitSleepListen; the trace pins the round of
+/// every transmit and listen.
+FusedRun RunFused(bool fused, Round sleep, Round run_until = 0) {
+  const Graph g = gen::Path(2);
+  HashTrace trace;
+  obs::MetricsRegistry metrics;
+  Scheduler sched(g, {.model = ChannelModel::kNoCd, .trace = &trace, .metrics = &metrics},
+                  5);
+  FusedRun run;
+  sched.Spawn([&](NodeApi api) -> proc::Task<void> {
+    return TransmitSleepListen(api, fused, sleep, &run.slots);
+  });
+  if (run_until > 0) sched.RunUntil(run_until);  // pause mid-sleep
+  run.stats = sched.Run();
+  EXPECT_TRUE(sched.AllFinished());
+  run.trace = trace.Value();
+  run.steps = metrics.GetCounter("sched.steps").Value();
+  run.wake_events = metrics.GetCounter("sched.wake_events").Value();
+  return run;
+}
+
+TEST(Scheduler, FusedTransmitWithoutSleepIsAPlainTransmit) {
+  // d = 0 files exactly Transmit(payload): same rounds, same steps.
+  const FusedRun fused = RunFused(true, 0);
+  const FusedRun plain = RunFused(false, 0);
+  EXPECT_EQ(fused.trace, plain.trace);
+  EXPECT_EQ(fused.steps, plain.steps);
+  EXPECT_EQ(fused.wake_events, 0u);
+  EXPECT_EQ(fused.stats.rounds_used, 2u);
+}
+
+TEST(Scheduler, FusedTransmitResumesOnceAfterItsSleep) {
+  const ModeGuard pin_abort(ContractMode::kAbort);  // "missed a wake event" throws
+  for (const Round sleep : {Round{1}, Round{5}, Round{Scheduler::kWheelSize},
+                            Round{HotNodeContext::kSleepAfterMax}}) {
+    const FusedRun fused = RunFused(true, sleep);
+    const FusedRun plain = RunFused(false, sleep);
+    // Same actions in the same rounds: the listen comes `sleep` rounds
+    // after the round following the transmit.
+    EXPECT_EQ(fused.trace, plain.trace) << sleep;
+    ASSERT_EQ(fused.slots.acted_at.size(), 2u);
+    EXPECT_EQ(fused.slots.acted_at[0], 1 + sleep);
+    EXPECT_EQ(fused.stats.node_rounds, 4u);
+    // Per node: the spawn, the resume at the wake the scheduler filed and
+    // the resume after the listen — never the step after the transmit
+    // that the unfused form pays.
+    EXPECT_EQ(fused.steps, 6u) << sleep;
+    EXPECT_EQ(plain.steps, 8u) << sleep;
+    EXPECT_EQ(fused.wake_events, 2u);
+  }
+  // A pause inside the scheduler-filed sleep resumes on schedule.
+  const FusedRun paused = RunFused(true, 9, 4);
+  EXPECT_EQ(paused.trace, RunFused(false, 9).trace);
+  EXPECT_EQ(paused.steps, 6u);
+}
+
+proc::Task<void> RetireThenFusedTransmit(NodeApi api) {
+  api.Retire();
+  co_await api.TransmitThenSleepFor(1, 3);
+}
+
+TEST(Scheduler, RetiredNodesFusedTransmitIsRejected) {
+  const ModeGuard pin_abort(ContractMode::kAbort);  // the check must throw
+  const Graph g = gen::Path(2);
+  Scheduler sched(g, {}, 1);
+  try {
+    sched.Spawn([](NodeApi api) -> proc::Task<void> {
+      return RetireThenFusedTransmit(api);
+    });
+    ADD_FAILURE() << "a retired node's fused transmit was filed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("retired node submitted a radio action"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+proc::Task<void> OverlongFusedSleep(NodeApi api) {
+  co_await api.TransmitThenSleepFor(1, HotNodeContext::kSleepAfterMax + 1);
+}
+
+TEST(Scheduler, FusedSleepBeyondItsFieldIsRejected) {
+  const ModeGuard pin_abort(ContractMode::kAbort);
+  const Graph g = gen::Empty(1);
+  Scheduler sched(g, {}, 1);
+  EXPECT_THROW(sched.Spawn([](NodeApi api) -> proc::Task<void> {
+                 return OverlongFusedSleep(api);
+               }),
+               PreconditionError);
 }
 
 }  // namespace

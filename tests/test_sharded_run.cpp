@@ -26,8 +26,9 @@
 //   * EMIS_SHARDS / EMIS_ENGINE typos and unknown emis_cli flags fail
 //     closed (exit 2), never run on the default.
 // Format contract: pack -> mmap round-trips the exact CSR arrays, and the
-// loader rejects truncation, bad magic, bad version, foreign endianness and
-// header sizes whose arithmetic overflows.
+// loader rejects truncation, bad magic, bad version, foreign endianness,
+// header sizes whose arithmetic overflows and non-monotone row offsets; a
+// run rejects adjacency ids ≥ n and self-loops before reading by them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -242,6 +243,80 @@ TEST(BinaryCsr, RejectsHeaderSizesThatOverflow) {
   const std::string start = TempPath("offsets_start_overflow.csr");
   PatchU64(good, start, {{kOffsetsStartAt, ~std::uint64_t{0} - 63}});
   ExpectOverflowRejected(start);
+}
+
+std::uint64_t ReadU64(const std::string& path, std::size_t at) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(at));
+  std::uint64_t value = 0;
+  in.read(reinterpret_cast<char*>(&value), sizeof(value));
+  EXPECT_TRUE(in.good()) << path;
+  return value;
+}
+
+/// Copies `src` to `dst` with the u32 at byte offset `at` set to `value`.
+void PatchU32(const std::string& src, const std::string& dst, std::size_t at,
+              std::uint32_t value) {
+  std::ifstream in(src, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_GE(bytes.size(), at + sizeof(value));
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  std::ofstream out(dst, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Three one-field patches of a packed path:n=2 that used to crash
+// `emis_cli run` (exit 139) or be accepted. Each is now a typed error and
+// exit 2 — on both engines, with the residual overlay on or off. Interior
+// offsets are checked at map time (an O(n) pass); ids and self-loops when
+// the run first reads every entry (the residual copy, or a standalone pass
+// without the overlay), so loading still faults in no adjacency page.
+TEST(BinaryCsr, RejectsAdjacencyARunWouldTrust) {
+  const std::string good = TempPath("path2.csr");
+  PackTo(good, gen::Path(2));  // offsets {0, 1, 2}, adjacency {1, 0}
+  constexpr std::size_t kOffsetsAt = 64;          // the packer's offsets_start
+  constexpr std::size_t kAdjacencyStartAt = 48;   // header field
+  const std::size_t adjacency_at = ReadU64(good, kAdjacencyStartAt);
+
+  const std::string big_id = TempPath("id_out_of_range.csr");
+  PatchU32(good, big_id, adjacency_at, 7'000'000);
+  const std::string offset = TempPath("interior_offset.csr");
+  PatchU64(good, offset, {{kOffsetsAt + 8, 5}});  // offsets {0, 5, 2}
+  const std::string loop = TempPath("self_loop.csr");
+  PatchU32(good, loop, adjacency_at, 0);  // row 0 = {0}
+
+  try {
+    MapBinaryCsr(offset);
+    ADD_FAILURE() << offset << " was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("monotone"), std::string::npos) << e.what();
+  }
+  const std::pair<std::string, const char*> content_faults[] = {
+      {big_id, "node id"}, {loop, "self-loop"}};
+  for (const auto& [path, what] : content_faults) {
+    const Graph g = MapBinaryCsr(path);
+    for (const bool compaction : {true, false}) {
+      MisRunConfig cfg;
+      cfg.compaction = compaction;
+      try {
+        (void)RunMis(g, cfg);
+        ADD_FAILURE() << path << " ran with compaction " << compaction;
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+      }
+    }
+  }
+  for (const std::string& path : {big_id, offset, loop}) {
+    for (const char* flags : {"", " --compaction off", " --engine flat --shards 4",
+                              " --alg nocd --engine flat --compaction off"}) {
+      const std::string cmd = std::string(EMIS_CLI_PATH) + " run --graph csr:" +
+                              path + flags + " --quiet 2>/dev/null";
+      const int status = std::system(cmd.c_str());
+      ASSERT_TRUE(WIFEXITED(status)) << cmd;
+      EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    }
+  }
 }
 
 TEST(BinaryCsr, MappedGraphRunsIdenticallyToOwnedGraph) {
