@@ -32,18 +32,16 @@ proc::Task<bool> RecEBackoff(NodeApi api, std::uint32_t k, std::uint32_t delta,
   const std::uint32_t listen_window = std::min(BackoffWindow(delta_est), window);
   const Round end_round = api.Now() + BackoffRounds(k, delta);
   bool heard = false;
-  for (std::uint32_t i = 0; i < k && !heard; ++i) {
+  for (std::uint32_t i = 0; i < k; ++i) {
     const Round iter_end = end_round - static_cast<Round>(k - 1 - i) * window;
-    for (std::uint32_t j = 0; j < listen_window; ++j) {
-      const Reception r = co_await api.Listen();
-      if (r.Busy()) {
-        heard = true;
-        break;
-      }
+    for (std::uint32_t j = 0; j < listen_window && !heard; ++j) {
+      heard = (co_await api.Listen()).Busy();
     }
+    if (heard) break;
     co_await api.SleepUntil(iter_end);
   }
-  // Heard early: sleep out the rest of the backoff to stay synchronized.
+  // Heard early: sleep out the rest of the backoff in one go to stay
+  // synchronized (no wake at the iteration's end in between).
   co_await api.SleepUntil(end_round);
   co_return heard;
 }
@@ -56,15 +54,13 @@ proc::Task<std::optional<std::uint64_t>> RecEBackoffCapture(NodeApi api,
   const std::uint32_t listen_window = std::min(BackoffWindow(delta_est), window);
   const Round end_round = api.Now() + BackoffRounds(k, delta);
   std::optional<std::uint64_t> captured;
-  for (std::uint32_t i = 0; i < k && !captured; ++i) {
+  for (std::uint32_t i = 0; i < k; ++i) {
     const Round iter_end = end_round - static_cast<Round>(k - 1 - i) * window;
-    for (std::uint32_t j = 0; j < listen_window; ++j) {
+    for (std::uint32_t j = 0; j < listen_window && !captured; ++j) {
       const Reception r = co_await api.Listen();
-      if (r.kind == ReceptionKind::kMessage) {
-        captured = r.payload;
-        break;
-      }
+      if (r.kind == ReceptionKind::kMessage) captured = r.payload;
     }
+    if (captured) break;
     co_await api.SleepUntil(iter_end);
   }
   co_await api.SleepUntil(end_round);

@@ -218,14 +218,12 @@ bool StepRecE(BackoffLane& t, const FlatCtx& c, std::uint32_t k,
   FLAT_BEGIN(t.pc);
   t.end_round = c.Now() + BackoffRounds(k, delta);
   t.heard = false;
-  for (t.i = 0; t.i < k && !t.heard; ++t.i) {
-    for (t.j = 0; t.j < listen_window; ++t.j) {
+  for (t.i = 0; t.i < k; ++t.i) {
+    for (t.j = 0; t.j < listen_window && !t.heard; ++t.j) {
       FLAT_LISTEN(c);
-      if (c.Heard().Busy()) {
-        t.heard = true;
-        break;
-      }
+      t.heard = c.Heard().Busy();
     }
+    if (t.heard) break;
     FLAT_SLEEP_UNTIL(c, t.end_round - static_cast<Round>(k - 1 - t.i) * window);
   }
   FLAT_SLEEP_UNTIL(c, t.end_round);
@@ -1054,14 +1052,20 @@ class FlatDeltaDoublingMis final : public FlatProtocol {
 // A lone energy-efficient sender: flat mirror of a root SndEBackoffPayload
 // ---------------------------------------------------------------------------
 
-class FlatSndEBackoff final : public FlatProtocol {
+/// One energy-efficient backoff: node `receiver` (kInvalidNode: none) runs
+/// RecEBackoff(k, delta, delta_est), every other node the sender.
+class FlatEBackoff final : public FlatProtocol {
  public:
-  FlatSndEBackoff(std::uint32_t k, std::uint32_t delta, std::uint64_t payload,
-                  NodeId num_nodes)
-      : k_(k), delta_(delta), payload_(payload), lanes_(num_nodes) {}
+  FlatEBackoff(std::uint32_t k, std::uint32_t delta, std::uint64_t payload,
+               NodeId receiver, std::uint32_t delta_est, NodeId num_nodes)
+      : k_(k), delta_(delta), payload_(payload), receiver_(receiver),
+        delta_est_(delta_est), lanes_(num_nodes) {}
 
   void Step(NodeId v, NodeContext ctx) override {
-    if (StepSndE(lanes_[v], FlatCtx(ctx), k_, delta_, payload_)) ctx.MarkDone();
+    const FlatCtx c(ctx);
+    const bool done = v == receiver_ ? StepRecE(lanes_[v], c, k_, delta_, delta_est_)
+                                     : StepSndE(lanes_[v], c, k_, delta_, payload_);
+    if (done) ctx.MarkDone();
   }
 
   LaneLayout Lanes() const noexcept override {
@@ -1072,6 +1076,8 @@ class FlatSndEBackoff final : public FlatProtocol {
   std::uint32_t k_;
   std::uint32_t delta_;
   std::uint64_t payload_;
+  NodeId receiver_;
+  std::uint32_t delta_est_;
   std::vector<BackoffLane> lanes_;
 };
 
@@ -1123,7 +1129,15 @@ std::unique_ptr<FlatProtocol> FlatSndEBackoffProtocol(std::uint32_t k,
                                                       std::uint64_t payload,
                                                       NodeId num_nodes) {
   EMIS_REQUIRE(k <= kCounterMax, "k exceeds lane counter width");
-  return std::make_unique<FlatSndEBackoff>(k, delta, payload, num_nodes);
+  return std::make_unique<FlatEBackoff>(k, delta, payload, kInvalidNode, 0, num_nodes);
+}
+
+std::unique_ptr<FlatProtocol> FlatEBackoffStarProtocol(std::uint32_t k,
+                                                       std::uint32_t delta,
+                                                       std::uint32_t delta_est,
+                                                       NodeId num_nodes) {
+  EMIS_REQUIRE(k <= kCounterMax, "k exceeds lane counter width");
+  return std::make_unique<FlatEBackoff>(k, delta, 1, 0, delta_est, num_nodes);
 }
 
 }  // namespace emis

@@ -54,4 +54,13 @@ std::unique_ptr<FlatProtocol> FlatSndEBackoffProtocol(std::uint32_t k,
                                                       std::uint64_t payload,
                                                       NodeId num_nodes);
 
+/// Flat mirror of one energy-efficient backoff on a star: node 0 (the hub)
+/// runs RecEBackoff(k, delta, delta_est), every other node
+/// SndEBackoff(k, delta), each once — for tests that pin the receiver's
+/// per-round cost.
+std::unique_ptr<FlatProtocol> FlatEBackoffStarProtocol(std::uint32_t k,
+                                                       std::uint32_t delta,
+                                                       std::uint32_t delta_est,
+                                                       NodeId num_nodes);
+
 }  // namespace emis

@@ -61,7 +61,8 @@ void WriteBinaryCsr(std::ostream& out, const Graph& graph);
 /// copying: the header (magic, endianness, version, section bounds, file
 /// size) and the row offsets (monotone, one O(n) pass) are validated, so
 /// the load never faults in an adjacency page — those fault lazily on
-/// first scan, and the run checks their ids then (RequireAdjacencyIds).
+/// first scan, and the first run on the graph checks their content then
+/// (Graph::RequireValidAdjacency, once per mapping).
 /// The mapping is advised towards huge pages and stays alive as long as
 /// any copy of the returned Graph does. Throws PreconditionError on
 /// malformed, foreign-endian, or truncated files.

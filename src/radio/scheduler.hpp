@@ -60,23 +60,25 @@ struct SchedulerConfig {
   double link_loss = 0.0;
   /// Residual-graph compaction: nodes that reach a terminal decision (via
   /// NodeApi::Retire / Scheduler::Retire, or simply by finishing their
-  /// protocol) are dropped from channel scan rows, and a CSR row is
-  /// compacted in place once half its entries are dead — per-round channel
-  /// cost then tracks *live* edges instead of seed edges, and both direction
-  /// rules (ResolveDirection, PhysicalDirection) sum live degrees.
-  /// Receptions are bit-identical with compaction on or off (retired nodes
-  /// never act again), so this is purely a cost/memory knob; off skips the
-  /// adjacency copy.
+  /// protocol) are dropped from channel scan rows, and a row shrinks to its
+  /// live entries once half of them are dead (ResidualGraph) — per-round
+  /// channel cost then tracks *live* edges instead of seed edges, and both
+  /// direction rules (ResolveDirection, PhysicalDirection) sum live
+  /// degrees. Receptions are bit-identical with compaction on or off
+  /// (retired nodes never act again), so this is purely a cost/memory knob;
+  /// off skips the overlay and the retire passes.
   bool compaction = true;
   /// Optional metrics registry (owned by the caller). When set, the
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
-  /// "sched.wake_heap", and "graph.retire" — the retire passes, nested in
-  /// the resume/wake scopes), counters ("sched.rounds_executed",
+  /// "sched.wake_heap", and "graph.retire" — the retire passes, timed
+  /// apart from the resume/wake scopes), counters ("sched.rounds_executed",
   /// "sched.rounds_skipped", "sched.wake_events", "sched.steps" — protocol
   /// steps or coroutine resumes, spawn included, fused post-transmit
   /// sleeps excluded — "chan.push_rounds",
   /// "chan.pull_rounds", "chan.edges_scanned", "graph.compactions",
-  /// "graph.edges_reclaimed"), the residual gauges ("chan.live_edges",
+  /// "graph.edges_reclaimed", "graph.retire_rebuilds" — retire batches
+  /// applied by rebuilding the survivors' rows, see ResidualGraph), the
+  /// residual gauges ("chan.live_edges",
   /// "graph.retire_batches"),
   /// arena gauges ("arena.bytes_reserved", "arena.bytes_used"), and
   /// working-set gauges ("mem.context_hot_bytes", "mem.context_cold_bytes",
@@ -239,10 +241,11 @@ class Scheduler {
   inline void AdvanceNode(NodeId v, Round round);
 
   /// The one step-then-file pass (spawn, wake drain, round resume): advances
-  /// every node of `batch` to `round`, then files each in batch order and
-  /// flushes the pass's retire batch. With PassParts(batch) > 1 the steps
-  /// run per part on the pool and filing follows the join; with one part
-  /// each step is filed at once.
+  /// every node of `batch` to `round`, then files each in batch order; the
+  /// caller flushes the pass's retire batch right after (FlushRetires),
+  /// outside the pass's timer. With PassParts(batch) > 1 the steps run per
+  /// part on the pool and filing follows the join; with one part each step
+  /// is filed at once.
   void StepAndFile(std::span<const NodeId> batch, Round round);
   /// Spawn's and SpawnFlat's common tail: StepAndFile of every node, in
   /// node order, to its first action (round 0).
@@ -456,6 +459,7 @@ class Scheduler {
   obs::Counter* pull_rounds_ = nullptr;
   obs::Counter* edges_scanned_ = nullptr;
   obs::Counter* compactions_metric_ = nullptr;
+  obs::Counter* retire_rebuilds_metric_ = nullptr;
   obs::Counter* edges_reclaimed_metric_ = nullptr;
   obs::Gauge* live_edges_metric_ = nullptr;
   obs::Gauge* retire_batches_metric_ = nullptr;
@@ -469,6 +473,7 @@ class Scheduler {
   // RunUntil may be called repeatedly; counters flush deltas against these.
   std::uint64_t steps_flushed_ = 0;
   std::uint64_t compactions_flushed_ = 0;
+  std::uint64_t rebuilds_flushed_ = 0;
   std::uint64_t edges_reclaimed_flushed_ = 0;
 };
 

@@ -29,8 +29,8 @@ inline constexpr std::size_t kColdContextBytes = 88;
 /// NodeContext: the two-pointer hot/cold view handed to protocols.
 inline constexpr std::size_t kContextViewBytes = 16;
 
-/// ResidualGraph::RowMeta: per-node row begin/scan-length/live-degree,
-/// interleaved so channel scans and retire-compaction touch one random
+/// ResidualGraph::RowMeta: per-node row pointer/scan-length/live-degree,
+/// interleaved so channel scans and the retire walk touch one random
 /// line per neighbor instead of three parallel-array lines.
 inline constexpr std::size_t kResidualRowBytes = 16;
 

@@ -346,5 +346,53 @@ TEST(EBackoff, FusedSenderMatchesUnfusedAgainstAReceiver) {
   }
 }
 
+/// star:n=2, leaf SndEBackoff(k, delta), hub RecEBackoff(k, delta, delta)
+/// on either engine: scheduler steps and trace hash.
+std::pair<std::uint64_t, std::uint64_t> RunStarBackoff(ExecutionEngine engine,
+                                                       std::uint32_t k,
+                                                       std::uint32_t delta,
+                                                       std::uint64_t seed) {
+  const Graph g = gen::Star(2);
+  HashTrace trace;
+  obs::MetricsRegistry metrics;
+  Scheduler sched(g,
+                  {.model = ChannelModel::kNoCd,
+                   .trace = &trace,
+                   .metrics = &metrics,
+                   .engine = engine,
+                   .shards = 1},
+                  seed);
+  BackoffProbe hub;
+  BackoffProbe leaf;
+  if (engine == ExecutionEngine::kFlat) {
+    sched.SpawnFlat(FlatEBackoffStarProtocol(k, delta, delta, g.NumNodes()));
+  } else {
+    sched.Spawn([&](NodeApi api) -> proc::Task<void> {
+      if (api.Id() == 0) {
+        return ReceiverNode(api, BackoffStyle::kEnergyEfficient, k, delta, delta, &hub);
+      }
+      return SenderNode(api, BackoffStyle::kEnergyEfficient, k, delta, &leaf);
+    });
+  }
+  sched.Run();
+  EXPECT_TRUE(sched.AllFinished());
+  return {metrics.GetCounter("sched.steps").Value(), trace.Value()};
+}
+
+TEST(EBackoff, ReceiverSleepsStraightToTheEndOnceHeard) {
+  // A receiver that hears sleeps out the backoff in one sleep: no wake at
+  // the end of the iteration it heard in. Pinned per seed; the iteration-end
+  // wake the receiver used to take cost one more step wherever it heard
+  // before its last iteration (16/13/15/17/15).
+  const std::uint64_t pinned[] = {15, 12, 14, 17, 14};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto [steps, trace] = RunStarBackoff(ExecutionEngine::kCoroutine, 8, 16, seed);
+    EXPECT_EQ(steps, pinned[seed - 1]) << "seed " << seed;
+    EXPECT_EQ(RunStarBackoff(ExecutionEngine::kFlat, 8, 16, seed),
+              std::make_pair(steps, trace))
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace emis

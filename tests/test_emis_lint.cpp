@@ -780,26 +780,27 @@ TEST(ParallelRegionMutation, ValueCapturesAndSlotAliasesAreClean) {
 }
 
 TEST(ParallelRegionMutation, RowOwnerSanctionCoversOnlyResidualRows) {
-  // The retire pass's shape: per-row metadata and in-place row compaction
-  // keyed by a neighbor id. Sanctioned for ResidualGraph's rows_ /
-  // adjacency_ (row-owner disjoint); the same writes to any other array are
-  // still flagged.
+  // The retire passes' shape: per-row metadata keyed by a neighbor id, and
+  // a row shrunk into its overlay slot through a local pointer. Sanctioned
+  // for ResidualGraph's rows_ (row-owner disjoint); the same writes to any
+  // other array are still flagged.
   const Report r = LintSource(
       "src/radio/x.cpp",
       "void ResidualGraph::Pass() {\n"
       "  par::ParallelFor(jobs, parts, [&](std::uint64_t part, unsigned) {\n"
       "    std::uint32_t out = 0;\n"
       "    rows_[w].scan_len = 0;\n"                 // sanctioned
-      "    adjacency_[begin + out++] = u;\n"         // sanctioned
+      "    NodeId* slot = Slot(w);\n"                // a local
+      "    slot[out++] = u;\n"                       // through the local
       "    row_meta_[w].scan_len = 0;\n"             // same shape: flagged
       "    entries_[begin + out++] = u;\n"           // same shape: flagged
       "  });\n"
       "}\n");
   ASSERT_EQ(r.findings.size(), 2u);
   EXPECT_EQ(r.findings[0].symbol, "row_meta_");
-  EXPECT_EQ(r.findings[0].line, 6);
+  EXPECT_EQ(r.findings[0].line, 7);
   EXPECT_EQ(r.findings[1].symbol, "entries_");
-  EXPECT_EQ(r.findings[1].line, 7);
+  EXPECT_EQ(r.findings[1].line, 8);
 }
 
 TEST(ParallelRegionMutation, GraphBuilderSanctionCoversOnlyItsSlices) {

@@ -1331,18 +1331,19 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 ///                        context points there), one writer per shard, and
 ///                        FileAction replays them into the timeline serially
 ///                        in batch order.
-///   rows_ /              ResidualGraph's row metadata and mutable adjacency
-///   adjacency_           (radio/graph.cpp). The residual copy writes each
-///                        row range once. The row-owner retire pass
-///                        (RetireBatch) writes a RowMeta, or compacts a row's
-///                        entries, only for rows inside its own part of the
-///                        cut; the rows other parts read are the batch
-///                        members' entries, which no part rewrites while the
-///                        batch runs (counter-only compaction). Each part
-///                        replays aliveness in its own bitset (part 0's is
-///                        active_, read by no other part during the pass),
-///                        and totals are per-part tallies summed after the
-///                        join (pinned by test_residual_compaction's
+///   rows_                ResidualGraph's row metadata (radio/graph.cpp).
+///                        Both retire passes (RetireBatch's walk and
+///                        rebuild) write a RowMeta, or shrink a row into its
+///                        overlay slot (disjoint per row), only for rows
+///                        inside their own part of the cut. The walk's
+///                        other-part reads are the batch members' entries,
+///                        which no part rewrites while the batch runs
+///                        (counter-only shrink), and each part replays
+///                        aliveness in its own bitset (part 0's is active_,
+///                        read by no other part during the pass); the
+///                        rebuild reads only its own rows and the final
+///                        active_. Totals are per-part tallies summed after
+///                        the join (pinned by test_residual_compaction's
 ///                        batch-vs-sequential property test and
 ///                        test_sharded_run's counters).
 ///   edge_slots           the G(n, p) sampler's pending-edge slots
@@ -1366,7 +1367,7 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 inline const std::set<std::string, std::less<>>& ParallelWriteSanctioned() {
   static const std::set<std::string, std::less<>> kSanctioned = {
       "ctx_hot_", "ctx_cold_", "tx_buffers_", "shard_tx_count_",
-      "shard_listen_count_", "phase_notes_", "rows_", "adjacency_", "edge_slots",
+      "shard_listen_count_", "phase_notes_", "rows_", "edge_slots",
       "part_cursors", "csr_adjacency", "deduped_degree"};
   return kSanctioned;
 }
