@@ -83,18 +83,6 @@ inline ExecutionEngine Engine(ExecutionEngine fallback) {
   return ParseExecutionEngine(env, "EMIS_BENCH_ENGINE");
 }
 
-/// Residual-compaction override for the benches' sweeps: the value of
-/// EMIS_BENCH_COMPACTION (on|off) when set, else the config's own. A cost
-/// knob only — sweep points are bit-identical on or off.
-inline bool Compaction(bool fallback) {
-  const char* env = std::getenv("EMIS_BENCH_COMPACTION");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const std::string text(env);
-  EMIS_REQUIRE(text == "on" || text == "off",
-               "EMIS_BENCH_COMPACTION must be on or off (got '" + text + "')");
-  return text == "on";
-}
-
 /// Registry injected into sweeps that did not bring their own: the
 /// process-global Metrics() (feeding the BENCH_*.json "metrics" block)
 /// unless EMIS_BENCH_METRICS=off, which returns null so perf-sensitive legs
@@ -118,12 +106,11 @@ struct TimedSweep {
 };
 
 /// Runs the sweep's trials across Jobs() threads, honouring the
-/// EMIS_BENCH_COMPACTION / EMIS_BENCH_ENGINE overrides. The returned points
-/// are bit-identical to RunSweep(cfg)'s serial output (see experiment.hpp).
+/// EMIS_BENCH_ENGINE override. The returned points are bit-identical to
+/// RunSweep(cfg)'s serial output (see experiment.hpp).
 inline TimedSweep RunTimedSweep(const SweepConfig& cfg) {
   TimedSweep out;
   SweepConfig directed = cfg;
-  directed.compaction = Compaction(cfg.compaction);
   directed.engine = Engine(cfg.engine);
   if (directed.metrics == nullptr) directed.metrics = BenchMetrics();
   out.points = RunSweep(directed, Jobs(), &out.info);

@@ -8,7 +8,7 @@
 //     the chan.edges_scanned cross-check: identical scan work proves the
 //     speedup is pure dispatch, not a different (cheaper) round schedule;
 //   * throughput — full RunMis at n = 2^20 (override with EMIS_BENCH_N) on
-//     a degree-256 G(n,p), compaction on: the flat engine must sustain
+//     a degree-256 G(n,p): the flat engine must sustain
 //     >= 1.8x coroutine throughput at the calibrated size (measured ~2x
 //     when the coroutine side still resolved every round push-side; both
 //     engines now share one physical direction rule and the AVX2 word-scan

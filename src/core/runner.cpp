@@ -112,7 +112,6 @@ MisRunResult RunMis(const Graph& graph, const MisRunConfig& config) {
       graph,
       {.model = ModelFor(config.algorithm), .max_rounds = config.max_rounds,
        .trace = config.trace, .link_loss = config.link_loss,
-       .compaction = config.compaction,
        .metrics = config.metrics, .timeline = config.timeline,
        .ledger = config.ledger, .engine = config.engine,
        .telemetry = config.telemetry, .shards = config.shards},

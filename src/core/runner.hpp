@@ -112,9 +112,6 @@ struct MisRunConfig {
   /// assumes a reliable channel). Combine with CdParams::repetitions to
   /// harden Algorithm 1 against it.
   double link_loss = 0.0;
-  /// Residual-graph compaction (cost/memory knob only — receptions and the
-  /// MIS are identical either way). See SchedulerConfig::compaction.
-  bool compaction = true;
 
   /// Optional observability (src/obs/): a metrics registry fed by the
   /// scheduler's hot-path timers/counters, and a phase timeline fed by the

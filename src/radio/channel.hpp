@@ -71,7 +71,8 @@ class Channel {
   /// Attaches a residual overlay (owned by the scheduler, must outlive the
   /// channel or be detached with nullptr): scans iterate its live row
   /// prefixes instead of full CSR rows. Receptions are identical with or
-  /// without an overlay — this is purely a cost knob.
+  /// without an overlay: the Scheduler always attaches one, and a channel
+  /// without one (the seed rows) is the reference tests compare against.
   void AttachResidual(const ResidualGraph* residual) noexcept {
     residual_ = residual;
   }

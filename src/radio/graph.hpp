@@ -254,10 +254,10 @@ std::vector<NodeId> EdgeBalancedCut(std::span<const std::uint64_t> offsets,
 class ResidualGraph {
  public:
   /// Starts with every node live and every row reading its full seed CSR
-  /// row; allocates the overlay untouched. A mapped `graph` must have
-  /// passed Graph::RequireValidAdjacency (the Scheduler checks it before
-  /// building its residual): the walk indexes by the entries and slices
-  /// rows by binary search.
+  /// row; allocates the overlay untouched. Reads only the row offsets. A
+  /// mapped `graph` must pass Graph::RequireValidAdjacency before the first
+  /// RetireBatch (the Scheduler checks it in its constructor): the walk
+  /// indexes by the entries and slices rows by binary search.
   explicit ResidualGraph(const Graph& graph);
   /// The graph must outlive the residual: a temporary would not.
   ResidualGraph(Graph&&) = delete;

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cstring>
@@ -173,16 +174,21 @@ Graph MapBinaryCsr(const std::string& path) {
       reinterpret_cast<const NodeId*>(bytes + header.adjacency_start);
   EMIS_REQUIRE(offsets[0] == 0 && offsets[header.num_nodes] == header.adj_entries,
                "emis-csr offset array does not span the adjacency section");
-  // Monotone offsets keep every row inside the adjacency section: one O(n)
-  // pass over the offset array. The O(m) adjacency content (ids < n, no
-  // self-loops, strictly ascending and symmetric rows) is checked by the
-  // first run on the graph (Graph::RequireValidAdjacency, once per
-  // mapping), so loading never faults in the full edge array.
+  // Monotone offsets keep every row inside the adjacency section, and the
+  // header's max_degree (Δ, which sizes every backoff window) must be the
+  // longest row: one O(n) pass over the offset array. The O(m) adjacency
+  // content (ids < n, no self-loops, strictly ascending and symmetric rows)
+  // is checked by the first run on the graph (Graph::RequireValidAdjacency,
+  // once per mapping), so loading never faults in the full edge array.
   bool descending = false;
+  std::uint64_t longest_row = 0;
   for (std::uint64_t v = 0; v < header.num_nodes; ++v) {
     descending |= offsets[v + 1] < offsets[v];
+    longest_row = std::max(longest_row, offsets[v + 1] - offsets[v]);
   }
   EMIS_REQUIRE(!descending, "emis-csr row offsets are not monotone");
+  EMIS_REQUIRE(longest_row == header.max_degree,
+               "emis-csr max_degree does not match its rows");
   AdviseHugePages(const_cast<char*>(bytes), size);
   return Graph::FromMappedCsr(std::move(owner), offsets,
                               static_cast<NodeId>(header.num_nodes), adjacency,

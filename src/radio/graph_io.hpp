@@ -59,7 +59,8 @@ void WriteBinaryCsr(std::ostream& out, const Graph& graph);
 
 /// Memory-maps an emis-csr/1 file read-only and wraps it as a Graph without
 /// copying: the header (magic, endianness, version, section bounds, file
-/// size) and the row offsets (monotone, one O(n) pass) are validated, so
+/// size) and the row offsets (monotone, and the longest row equal to the
+/// header's max_degree: one O(n) pass) are validated, so
 /// the load never faults in an adjacency page — those fault lazily on
 /// first scan, and the first run on the graph checks their content then
 /// (Graph::RequireValidAdjacency, once per mapping).

@@ -38,6 +38,7 @@ unsigned DefaultShards() {
 Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t seed)
     : graph_(&graph),
       config_(config),
+      residual_(graph),
       channel_(graph, config.model),
       energy_(graph.NumNodes()) {
   if (config.link_loss > 0.0) {
@@ -57,12 +58,10 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
   shard_listen_count_.assign(shards_, 0);
   // A mapped CSR's content is checked before the channel or the residual
   // graph indexes by it — once per mapping, so later runs on it skip the
-  // pass. This is the check ResidualGraph's constructor relies on.
+  // pass. This is the check ResidualGraph's retire walk relies on (its
+  // constructor reads only the offsets, which mapping checked).
   graph.RequireValidAdjacency(shards_);
-  if (config_.compaction) {
-    residual_.emplace(graph);
-    channel_.AttachResidual(&*residual_);
-  }
+  channel_.AttachResidual(&residual_);
   if (config_.ledger != nullptr) {
     EMIS_EXPECTS(config_.ledger->NumNodes() == graph.NumNodes(),
                  "energy ledger sized for a different graph");
@@ -218,10 +217,8 @@ void Scheduler::MarkRetired(NodeId v) {
   if (hot.Retired()) return;  // idempotent: finishing also implies retirement
   hot.MarkRetired();  // sets retired, clears any pending retire request
   ++retired_;
-  if (residual_.has_value()) {
-    retire_batch_.push_back(v);
-    retire_batch_entries_ += residual_->ScanRow(v).size();
-  }
+  retire_batch_.push_back(v);
+  retire_batch_entries_ += residual_.ScanRow(v).size();
 }
 
 void Scheduler::FlushRetires() {
@@ -230,10 +227,10 @@ void Scheduler::FlushRetires() {
   // Same inline-below rule as the round passes, keyed on the work the pass
   // will walk: the batch's pending scan entries.
   if (Sharded() && retire_batch_entries_ >= ResidualGraph::kParallelMinEntries) {
-    residual_->RetireBatch(retire_batch_, shard_begin_, shards_);
+    residual_.RetireBatch(retire_batch_, shard_begin_, shards_);
   } else {
     const NodeId whole[] = {0, graph_->NumNodes()};
-    residual_->RetireBatch(retire_batch_, whole, 1);
+    residual_.RetireBatch(retire_batch_, whole, 1);
   }
   ++retire_batches_;
   retire_batch_.clear();
@@ -436,15 +433,14 @@ void Scheduler::MigrateOverflow() {
 }
 
 ChannelDirection Scheduler::ChooseDirection(unsigned parts) {
-  // Live degrees when the residual overlay is on: as the residual shrinks,
-  // both rules keep tracking the work a direction will actually do.
+  // Live degrees: as the residual shrinks, both rules keep tracking the
+  // work a direction will actually do.
   std::uint64_t tx_edges = 0;
   std::uint64_t listen_edges = 0;
   for (NodeId v : actors_) {
     const HotNodeContext& hot = ctx_hot_[v];
     EMIS_INVARIANT(hot.now == now_, "actor scheduled for wrong round");
-    const std::uint64_t cost =
-        residual_.has_value() ? residual_->LiveDegree(v) : graph_->Degree(v);
+    const std::uint64_t cost = residual_.LiveDegree(v);
     if (hot.Pending() == ActionKind::kTransmit) {
       tx_edges += cost;
     } else {
@@ -587,9 +583,7 @@ void Scheduler::EmitHeartbeat() {
   event.Set("awake", obs::JsonValue(static_cast<std::uint64_t>(actors_.size())));
   event.Set("decided", obs::JsonValue(static_cast<std::uint64_t>(retired_)));
   event.Set("finished", obs::JsonValue(static_cast<std::uint64_t>(finished_)));
-  event.Set("live_edges",
-            obs::JsonValue(residual_.has_value() ? residual_->LiveEdges()
-                                                 : graph_->NumEdges()));
+  event.Set("live_edges", obs::JsonValue(residual_.LiveEdges()));
   config_.telemetry->Emit(event);
 }
 
@@ -676,15 +670,15 @@ RunStats Scheduler::RunUntil(Round limit) {
     steps_metric_->Inc(steps - steps_flushed_);
     steps_flushed_ = steps;
   }
-  if (live_edges_metric_ != nullptr && residual_.has_value()) {
-    live_edges_metric_->Set(static_cast<double>(residual_->LiveEdges()));
-    compactions_metric_->Inc(residual_->Compactions() - compactions_flushed_);
-    compactions_flushed_ = residual_->Compactions();
-    retire_rebuilds_metric_->Inc(residual_->Rebuilds() - rebuilds_flushed_);
-    rebuilds_flushed_ = residual_->Rebuilds();
-    edges_reclaimed_metric_->Inc(residual_->EdgesReclaimed() -
+  if (live_edges_metric_ != nullptr) {
+    live_edges_metric_->Set(static_cast<double>(residual_.LiveEdges()));
+    compactions_metric_->Inc(residual_.Compactions() - compactions_flushed_);
+    compactions_flushed_ = residual_.Compactions();
+    retire_rebuilds_metric_->Inc(residual_.Rebuilds() - rebuilds_flushed_);
+    rebuilds_flushed_ = residual_.Rebuilds();
+    edges_reclaimed_metric_->Inc(residual_.EdgesReclaimed() -
                                  edges_reclaimed_flushed_);
-    edges_reclaimed_flushed_ = residual_->EdgesReclaimed();
+    edges_reclaimed_flushed_ = residual_.EdgesReclaimed();
     retire_batches_metric_->Set(static_cast<double>(retire_batches_));
   }
 

@@ -10,12 +10,14 @@
 // overflow list; drained buckets are sorted so the pop order matches the
 // binary heap it replaced). Channel work per round additionally tracks the
 // *residual* graph, not the seed graph: protocols Retire() when decided,
-// and the ResidualGraph overlay compacts their rows away (DESIGN.md §9).
+// and the ResidualGraph overlay, always attached to the channel, compacts
+// their rows away, so a round scans and accounts live degrees (DESIGN.md
+// §9). Receptions equal a plain Channel's over the seed rows (retired
+// nodes never act again), which is what the tests diff against.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -58,16 +60,6 @@ struct SchedulerConfig {
   /// Per-link per-round signal erasure probability (fading). 0 = the
   /// paper's reliable channel. See Channel::SetLoss.
   double link_loss = 0.0;
-  /// Residual-graph compaction: nodes that reach a terminal decision (via
-  /// NodeApi::Retire / Scheduler::Retire, or simply by finishing their
-  /// protocol) are dropped from channel scan rows, and a row shrinks to its
-  /// live entries once half of them are dead (ResidualGraph) — per-round
-  /// channel cost then tracks *live* edges instead of seed edges, and both
-  /// direction rules (ResolveDirection, PhysicalDirection) sum live
-  /// degrees. Receptions are bit-identical with compaction on or off
-  /// (retired nodes never act again), so this is purely a cost/memory knob;
-  /// off skips the overlay and the retire passes.
-  bool compaction = true;
   /// Optional metrics registry (owned by the caller). When set, the
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
   /// "sched.wake_heap", and "graph.retire" — the retire passes, timed
@@ -130,7 +122,7 @@ struct SchedulerConfig {
 /// side, ties to push. It feeds the chan.push_rounds / chan.pull_rounds /
 /// chan.edges_scanned counters (and through them the baselines) and is not
 /// the scan the channel runs; PhysicalDirection picks that. The sums are
-/// live degrees when compaction is on, static degrees otherwise.
+/// live degrees (ResidualGraph::LiveDegree).
 constexpr ChannelDirection ResolveDirection(std::uint64_t tx_edges,
                                             std::uint64_t listen_edges) noexcept {
   return listen_edges < tx_edges ? ChannelDirection::kPull
@@ -200,9 +192,7 @@ class Scheduler {
   /// or listen again — enforced by an invariant on action filing. Idempotent.
   /// For drivers that know a node is done: v is retired at once, as a retire
   /// batch of one. (Protocols that finish or call NodeApi::Retire are
-  /// retired in their filing pass's batch instead.) A no-op cost-wise when
-  /// compaction is off (the flag is still set, keeping the
-  /// acting-after-retirement invariant armed).
+  /// retired in their filing pass's batch instead.)
   void Retire(NodeId v);
 
   bool AllFinished() const noexcept { return finished_ == graph_->NumNodes(); }
@@ -213,10 +203,8 @@ class Scheduler {
   const EnergyMeter& Energy() const noexcept { return energy_; }
   const Graph& Topology() const noexcept { return *graph_; }
 
-  /// The residual overlay; null when compaction is off.
-  const ResidualGraph* Residual() const noexcept {
-    return residual_.has_value() ? &*residual_ : nullptr;
-  }
+  /// The residual overlay the channel scans.
+  const ResidualGraph& Residual() const noexcept { return residual_; }
 
   /// Allocation footprint of this scheduler's coroutine-frame arena.
   const FrameArena::Stats& ArenaStats() const noexcept { return arena_.GetStats(); }
@@ -276,8 +264,8 @@ class Scheduler {
   /// cost on large graphs.
   void PrefetchResume(std::span<const NodeId> nodes, std::size_t i) noexcept;
 
-  /// Marks v retired (idempotent) and, with compaction on, appends it to the
-  /// current filing pass's retire batch. The residual overlay is untouched
+  /// Marks v retired (idempotent) and appends it to the current filing
+  /// pass's retire batch. The residual overlay is untouched
   /// until FlushRetires: nothing reads it between a retire and the end of
   /// the pass that filed it.
   void MarkRetired(NodeId v);
@@ -341,9 +329,9 @@ class Scheduler {
 
   const Graph* graph_;
   SchedulerConfig config_;
-  // Engaged when config.compaction; declared before channel_ so the
-  // channel's overlay pointer is never dangling during destruction.
-  std::optional<ResidualGraph> residual_;
+  // Declared before channel_ so the channel's overlay pointer is never
+  // dangling during destruction.
+  ResidualGraph residual_;
   Channel channel_;
   EnergyMeter energy_;
 

@@ -103,7 +103,6 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& config, unsigned jobs,
       const Graph graph = config.factory(n, topo_rng);
       MisRunConfig run_config{
           .algorithm = config.algorithm, .preset = config.preset, .seed = seed};
-      run_config.compaction = config.compaction;
       run_config.engine = config.engine;
       run_config.shards = config.shards;
       if (config.delta_unknown) run_config.delta_estimate = n;

@@ -65,9 +65,6 @@ struct SweepConfig {
   /// backoff window is derived from Δ = n. This is where the commit
   /// mechanism's log log n listen windows beat the baselines' log Δ = log n.
   bool delta_unknown = false;
-  /// Residual-graph compaction for every trial (cost knob only; points are
-  /// bit-identical on or off). `tweak` runs later and may override.
-  bool compaction = true;
   /// Execution backend for every trial (cost knob only; points are
   /// bit-identical across engines). `tweak` runs later and may override.
   ExecutionEngine engine = DefaultExecutionEngine();

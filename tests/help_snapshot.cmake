@@ -1,6 +1,6 @@
 # CTest script: `emis_cli --help` must exit 0 and match the committed
-# snapshot byte-for-byte, so the documented flag surface (--compaction,
-# --engine, --shards, graph specs) cannot drift from the golden file without a
+# snapshot byte-for-byte, so the documented flag surface (--engine,
+# --shards, graph specs) cannot drift from the golden file without a
 # deliberate update. Regenerate with:
 #   build/tools/emis_cli --help > tests/golden/emis_cli_help.txt
 foreach(invocation "help" "--help" "-h")

@@ -141,20 +141,23 @@ TEST(CounterHashGolden, LinkErasedPattern) {
 
 TEST(SchedulerResolution, AutoPullsWhenListenersAreCheap) {
   // Star, hub transmits once, one leaf listens: Σdeg(listen) = 1 beats
-  // Σdeg(tx) = n - 1, so the round must be accounted pull-side. Compaction
-  // off pins the static-degree cost model: with it on, the 62 idle leaves
-  // retire at spawn and the live-degree sums tie (see
-  // test_residual_compaction.cpp's LiveDegreeCostModel).
+  // Σdeg(tx) = n - 1, so the round must be accounted pull-side. The 62 idle
+  // leaves sleep through the round instead of finishing at spawn, so none
+  // has retired and the hub's live degree is still n - 1 (had they
+  // finished, the live-degree sums would tie and push would win: see
+  // test_residual_compaction.cpp's CostModelSumsLiveDegrees).
   const Graph g = gen::Star(64);
   obs::MetricsRegistry metrics;
-  Scheduler sched(g, {.compaction = false, .metrics = &metrics}, /*seed=*/1);
+  Scheduler sched(g, {.metrics = &metrics}, /*seed=*/1);
   sched.Spawn([](NodeApi api) -> proc::Task<void> {
-    if (api.Id() == 0) co_await api.Transmit(1);
-    if (api.Id() == 1) {
+    if (api.Id() == 0) {
+      co_await api.Transmit(1);
+    } else if (api.Id() == 1) {
       const Reception r = co_await api.Listen();
       EMIS_ASSERT(r.kind == ReceptionKind::kMessage, "leaf must hear the hub");
+    } else {
+      co_await api.SleepFor(2);
     }
-    co_return;
   });
   sched.Run();
   EXPECT_EQ(metrics.GetCounter("chan.pull_rounds").Value(), 1u);

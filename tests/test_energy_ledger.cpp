@@ -125,9 +125,9 @@ TEST(EnergyLedger, ClearResets) {
 // --- Conservation against the EnergyMeter ----------------------------------
 
 /// Σ over keys of per-node attributed charges must equal the EnergyMeter's
-/// per-node entries exactly — for every core, loss rate and compaction
-/// setting of the existing knob matrix. The ledger charges beside
-/// the meter in the scheduler, so a violation means the wiring regressed.
+/// per-node entries exactly — for every core and loss rate. The ledger
+/// charges beside the meter in the scheduler, so a violation means the
+/// wiring regressed.
 TEST(EnergyLedger, ConservationAcrossKnobMatrix) {
   Rng rng(2026);
   const Graph g = gen::ErdosRenyi(48, 0.12, rng);
@@ -135,36 +135,31 @@ TEST(EnergyLedger, ConservationAcrossKnobMatrix) {
        {MisAlgorithm::kCd, MisAlgorithm::kNoCd, MisAlgorithm::kNoCdDaviesProfile,
         MisAlgorithm::kNoCdUnknownDelta, MisAlgorithm::kNoCdRoundEfficient}) {
     for (double loss : {0.0, 0.3}) {
-      for (bool compaction : {true, false}) {
-        obs::PhaseTimeline timeline;
-        obs::EnergyLedger ledger(g.NumNodes());
-        MisRunConfig cfg;
-        cfg.algorithm = algorithm;
-        cfg.seed = 7;
-        cfg.link_loss = loss;
-        cfg.compaction = compaction;
-        cfg.timeline = &timeline;
-        cfg.ledger = &ledger;
-        const MisRunResult r = RunMis(g, cfg);
-        const std::string what = std::string(ToString(algorithm)) + " loss " +
-                                 std::to_string(loss) + " compaction " +
-                                 std::to_string(compaction);
-        for (NodeId v = 0; v < g.NumNodes(); ++v) {
-          EXPECT_EQ(ledger.AttributedTransmit(v),
-                    r.energy.Of(v).transmit_rounds)
-              << what << " node " << v;
-          EXPECT_EQ(ledger.AttributedListen(v), r.energy.Of(v).listen_rounds)
-              << what << " node " << v;
-        }
-        std::uint64_t tx = 0;
-        std::uint64_t lx = 0;
-        for (const obs::AttributionRow& row : ledger.Table()) {
-          tx += row.transmit_rounds;
-          lx += row.listen_rounds;
-        }
-        EXPECT_EQ(tx, r.energy.TotalTransmit()) << what;
-        EXPECT_EQ(lx, r.energy.TotalListen()) << what;
+      obs::PhaseTimeline timeline;
+      obs::EnergyLedger ledger(g.NumNodes());
+      MisRunConfig cfg;
+      cfg.algorithm = algorithm;
+      cfg.seed = 7;
+      cfg.link_loss = loss;
+      cfg.timeline = &timeline;
+      cfg.ledger = &ledger;
+      const MisRunResult r = RunMis(g, cfg);
+      const std::string what =
+          std::string(ToString(algorithm)) + " loss " + std::to_string(loss);
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        EXPECT_EQ(ledger.AttributedTransmit(v), r.energy.Of(v).transmit_rounds)
+            << what << " node " << v;
+        EXPECT_EQ(ledger.AttributedListen(v), r.energy.Of(v).listen_rounds)
+            << what << " node " << v;
       }
+      std::uint64_t tx = 0;
+      std::uint64_t lx = 0;
+      for (const obs::AttributionRow& row : ledger.Table()) {
+        tx += row.transmit_rounds;
+        lx += row.listen_rounds;
+      }
+      EXPECT_EQ(tx, r.energy.TotalTransmit()) << what;
+      EXPECT_EQ(lx, r.energy.TotalListen()) << what;
     }
   }
 }

@@ -2,7 +2,7 @@
 // observationally identical to the coroutine reference. Properties checked:
 //   * RunMis fingerprints (decisions, rounds, energy totals, full trace
 //     hash) match the coroutine engine for every MIS core across
-//     loss {0, 0.1} x compaction {on, off};
+//     loss {0, 0.1};
 //   * the algorithms outside the 5-core matrix (beeping, naive no-CD Luby,
 //     unknown-Δ doubling) match on a representative config each;
 //   * the flat engine reproduces the *pinned* golden trace hashes of
@@ -50,8 +50,7 @@ struct RunFingerprint {
 };
 
 RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
-                           MisAlgorithm algorithm, double loss,
-                           bool compaction) {
+                           MisAlgorithm algorithm, double loss) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
@@ -59,7 +58,6 @@ RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
   cfg.engine = engine;
   cfg.trace = &trace;
   cfg.link_loss = loss;
-  cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
   return {r.status, r.stats.rounds_used, r.energy.TotalAwake(),
@@ -78,14 +76,10 @@ TEST(FlatEngine, MatchesCoroutineAcrossCoreMatrix) {
   const Graph g = gen::ErdosRenyi(64, 0.1, rng);
   for (MisAlgorithm algorithm : kCores) {
     for (double loss : {0.0, 0.1}) {
-      for (bool compaction : {true, false}) {
-        const RunFingerprint reference = Fingerprint(
-            g, ExecutionEngine::kCoroutine, algorithm, loss, compaction);
-        const RunFingerprint flat =
-            Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss, compaction);
-        EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss
-                                   << " compaction " << compaction;
-      }
+      const RunFingerprint reference =
+          Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss);
+      const RunFingerprint flat = Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss);
+      EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss;
     }
   }
 }
@@ -98,9 +92,9 @@ TEST(FlatEngine, MatchesCoroutineOnRemainingAlgorithms) {
         MisAlgorithm::kNoCdUnknownDelta}) {
     for (double loss : {0.0, 0.1}) {
       const RunFingerprint reference =
-          Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss, true);
+          Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss);
       const RunFingerprint flat =
-          Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss, true);
+          Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss);
       EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss;
     }
   }
@@ -112,11 +106,11 @@ TEST(FlatEngine, ReproducesPinnedGoldenTraceHashes) {
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
   const RunFingerprint cd =
-      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.0, true);
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.0);
   const RunFingerprint cd_lossy =
-      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.3, true);
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kCd, 0.3);
   const RunFingerprint nocd =
-      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kNoCd, 0.0, true);
+      Fingerprint(g, ExecutionEngine::kFlat, MisAlgorithm::kNoCd, 0.0);
   EXPECT_EQ(cd.trace_hash, 0xB54A7384D88D1E30ULL);
   EXPECT_EQ(cd_lossy.trace_hash, 0x0FA217956D3014ABULL);
   EXPECT_EQ(nocd.trace_hash, 0xE8D014E39E2297D4ULL);

@@ -18,9 +18,15 @@
 //     accounting choice on a lossy channel, else push iff the transmit side
 //     is under a quarter of the listen side;
 //   * the scheduler's cost model sums *live* degrees once nodes retire
-//     (companion to test_channel_direction's static-cost-model test);
-//   * RunMis receptions, decisions and energy are bit-identical across
-//     compaction on/off x loss {0, 0.3} (golden trace hashes);
+//     (companion to test_channel_direction's pull-side accounting test);
+//   * the overlay never changes a reception: after every random
+//     RetireBatch (walk and rebuild, cuts of 1 and 4 parts) on G(n, p) and
+//     UDG graphs, a Channel scanning the overlay and a plain Channel
+//     scanning the seed rows resolve random rounds among the still-active
+//     nodes identically, for CD, no-CD and beeping, push and pull, loss 0
+//     and 0.3;
+//   * RunMis receptions, decisions and energy are pinned across loss
+//     {0, 0.3} (golden trace hashes);
 //   * the payload tie-break contract: a reception's payload is observable
 //     only when exactly one transmitter survives; >= 2 survivors perceive as
 //     collision/silence/beep with payload 0, on seed and compacted rows
@@ -28,8 +34,7 @@
 //   * retirement lifecycle — a retired node that transmits or listens trips
 //     an invariant, finishing implies retirement (ActiveCount reaches 0),
 //     and retiring is still legal (sleep + finish) afterwards;
-//   * parallel sweeps stay bit-identical across job counts with compaction
-//     on, and compaction on/off sweeps produce identical points;
+//   * parallel sweeps stay bit-identical across job counts;
 //   * the graph.compactions / graph.edges_reclaimed / chan.live_edges
 //     telemetry lands in the caller's MetricsRegistry.
 #include <gtest/gtest.h>
@@ -38,6 +43,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -297,6 +303,16 @@ struct BranchCounts {
   std::uint64_t rebuilds = 0;
 };
 
+/// The nodes of `g` in a random order (Fisher-Yates on `rng`).
+std::vector<NodeId> ShuffledNodes(const Graph& g, Rng& rng) {
+  std::vector<NodeId> order(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) order[v] = v;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.UniformBelow(i)]);
+  }
+  return order;
+}
+
 /// Retires every node of `g` in a random order, cut into random batches
 /// (sometimes single nodes, sometimes half or all of the graph), each
 /// applied to two residuals under two fresh random cuts at jobs `jobs` and
@@ -305,11 +321,7 @@ struct BranchCounts {
 BranchCounts CheckRandomBatches(const Graph& g, std::uint64_t seed, unsigned jobs,
                                 const std::string& name) {
   Rng rng(seed);
-  std::vector<NodeId> order(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) order[v] = v;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.UniformBelow(i)]);
-  }
+  const std::vector<NodeId> order = ShuffledNodes(g, rng);
   ResidualGraph batched(g);
   ResidualGraph twin(g);
   SequentialResidual reference(g);
@@ -617,8 +629,8 @@ TEST(ResidualCompaction, CostModelSumsLiveDegrees) {
   // spawn and are auto-retired. With the static cost model pull would win
   // (1 listener-degree-1 vs hub-degree-63); on live degrees the hub's
   // degree collapses to 1, the sums tie, and the round is accounted push.
-  // This is the intended behavior change pinned the other way (compaction
-  // off) in test_channel_direction.cpp's AutoPullsWhenListenersAreCheap.
+  // test_channel_direction.cpp's AutoPullsWhenListenersAreCheap pins the
+  // same star with its leaves asleep instead, so pull wins there.
   const Graph g = gen::Star(64);
   obs::MetricsRegistry metrics;
   Scheduler sched(g, {.metrics = &metrics}, 1);
@@ -632,7 +644,117 @@ TEST(ResidualCompaction, CostModelSumsLiveDegrees) {
   EXPECT_EQ(metrics.GetCounter("chan.pull_rounds").Value(), 0u);
 }
 
-// --- Reception equivalence: compaction is invisible to the radio ----------
+// --- Reception equivalence: the overlay is invisible to the radio --------
+
+/// Retires `g`'s nodes in random batches through RetireBatch on an even cut
+/// of `parts` parts (a batch of every node left, of about half of them, or
+/// of 1-20: walk and rebuild alike). After every batch, resolves a few
+/// rounds per (model, direction, loss) — random transmitters with random
+/// payloads and random listeners among the still-active nodes — on a
+/// Channel scanning the overlay and on a plain Channel scanning the seed
+/// rows, and requires every listener's reception and transmitting-neighbor
+/// count to agree. Both channels of a pair begin the same rounds, so their
+/// loss streams match. Adds the batches walked and rebuilt to `counts`.
+void CheckReceptionsAgainstSeedRows(const Graph& g, std::uint64_t seed, unsigned parts,
+                                    const std::string& name, BranchCounts& counts) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + parts);
+  const std::vector<NodeId> order = ShuffledNodes(g, rng);
+  std::vector<NodeId> cut;
+  for (unsigned p = 0; p <= parts; ++p) {
+    cut.push_back(static_cast<NodeId>(std::uint64_t{g.NumNodes()} * p / parts));
+  }
+  ResidualGraph residual(g);
+  struct Pair {
+    ChannelModel model;
+    double loss;
+    std::unique_ptr<Channel> attached;
+    std::unique_ptr<Channel> plain;
+  };
+  std::vector<Pair> pairs;
+  for (const ChannelModel model :
+       {ChannelModel::kCd, ChannelModel::kNoCd, ChannelModel::kBeeping}) {
+    for (const double loss : {0.0, 0.3}) {
+      Pair pair{model, loss, std::make_unique<Channel>(g, model),
+                std::make_unique<Channel>(g, model)};
+      pair.attached->AttachResidual(&residual);
+      if (loss > 0.0) {
+        pair.attached->SetLoss(loss, seed);
+        pair.plain->SetLoss(loss, seed);
+      }
+      pairs.push_back(std::move(pair));
+    }
+  }
+  std::size_t next = 0;
+  int batch_index = 0;
+  while (next < order.size()) {
+    const std::size_t left = order.size() - next;
+    const std::uint64_t shape = rng.UniformBelow(16);
+    const std::size_t size =
+        shape < 1   ? left
+        : shape < 3 ? 1 + left / 2
+                    : 1 + rng.UniformBelow(std::min<std::size_t>(left, 20));
+    const std::uint64_t rebuilds_before = residual.Rebuilds();
+    residual.RetireBatch(std::span<const NodeId>(order.data() + next, size), cut, parts);
+    (residual.Rebuilds() > rebuilds_before ? counts.rebuilds : counts.walks) += 1;
+    next += size;
+    for (Pair& pair : pairs) {
+      for (const ChannelDirection dir : {ChannelDirection::kPush, ChannelDirection::kPull}) {
+        for (int round = 0; round < 2; ++round) {
+          std::vector<NodeId> listeners;
+          pair.attached->BeginRound(dir);
+          pair.plain->BeginRound(dir);
+          for (NodeId v = 0; v < g.NumNodes(); ++v) {
+            if (!residual.Active(v)) continue;
+            const std::uint64_t action = rng.UniformBelow(8);
+            if (action == 0) {
+              const std::uint64_t payload = rng.NextU64();
+              pair.attached->AddTransmitter(v, payload);
+              pair.plain->AddTransmitter(v, payload);
+            } else if (action < 5) {
+              listeners.push_back(v);
+            }
+          }
+          for (const NodeId v : listeners) {
+            // Streamed only on failure.
+            const auto where = [&] {
+              return name + " parts " + std::to_string(parts) + " batch " +
+                     std::to_string(batch_index) + " " + std::string(ToString(pair.model)) +
+                     " loss " + std::to_string(pair.loss) +
+                     (dir == ChannelDirection::kPush ? " push" : " pull") + " listener " +
+                     std::to_string(v);
+            };
+            ASSERT_EQ(pair.attached->ResolveListener(v), pair.plain->ResolveListener(v))
+                << where();
+            ASSERT_EQ(pair.attached->TransmittingNeighbors(v),
+                      pair.plain->TransmittingNeighbors(v))
+                << where();
+          }
+        }
+      }
+    }
+    ++batch_index;
+  }
+}
+
+TEST(ResidualCompaction, ReceptionsMatchThePlainChannelAfterEveryBatch) {
+  BranchCounts total;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed * 104729);
+    // Average degree ~40, so early rows take the word-parallel pull scan
+    // and shrunk ones the scalar scan.
+    for (const auto& [graph, name] :
+         {std::pair{gen::ErdosRenyi(200, 0.2, rng), "er"},
+          std::pair{gen::RandomGeometric(200, 0.27, rng), "udg"}}) {
+      for (const unsigned parts : {1u, 4u}) {
+        CheckReceptionsAgainstSeedRows(graph, seed, parts, name, total);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // Both branches ran, many times over.
+  EXPECT_GT(total.walks, 80u);
+  EXPECT_GT(total.rebuilds, 30u);
+}
 
 struct RunFingerprint {
   std::vector<MisStatus> status;
@@ -644,42 +766,27 @@ struct RunFingerprint {
   friend bool operator==(const RunFingerprint&, const RunFingerprint&) = default;
 };
 
-RunFingerprint Fingerprint(const Graph& g, MisAlgorithm algorithm,
-                           bool compaction, double loss) {
+RunFingerprint Fingerprint(const Graph& g, MisAlgorithm algorithm, double loss) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
   cfg.seed = 7;
   cfg.trace = &trace;
   cfg.link_loss = loss;
-  cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
   return {r.status, r.stats.rounds_used, r.energy.TotalAwake(),
           r.energy.MaxAwake(), trace.Value()};
 }
 
-TEST(ResidualCompaction, ReceptionsBitIdenticalAcrossKnobs) {
-  Rng rng(2026);
-  const Graph g = gen::ErdosRenyi(72, 0.1, rng);
-  for (MisAlgorithm algorithm : {MisAlgorithm::kCd, MisAlgorithm::kNoCd}) {
-    for (double loss : {0.0, 0.3}) {
-      EXPECT_EQ(Fingerprint(g, algorithm, /*compaction=*/false, loss),
-                Fingerprint(g, algorithm, /*compaction=*/true, loss))
-          << ToString(algorithm) << " loss " << loss;
-    }
-  }
-}
-
 TEST(ResidualCompaction, GoldenTraceHashes) {
   // Pinned fingerprints: a change to retirement timing, scan order or the
-  // loss stream shows up here as a golden mismatch even if on/off still
-  // agree with each other.
+  // loss stream shows up here as a golden mismatch.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
-  const RunFingerprint cd = Fingerprint(g, MisAlgorithm::kCd, true, 0.0);
-  const RunFingerprint cd_lossy = Fingerprint(g, MisAlgorithm::kCd, true, 0.3);
-  const RunFingerprint nocd = Fingerprint(g, MisAlgorithm::kNoCd, true, 0.0);
+  const RunFingerprint cd = Fingerprint(g, MisAlgorithm::kCd, 0.0);
+  const RunFingerprint cd_lossy = Fingerprint(g, MisAlgorithm::kCd, 0.3);
+  const RunFingerprint nocd = Fingerprint(g, MisAlgorithm::kNoCd, 0.0);
   EXPECT_EQ(cd.trace_hash, 0xB54A7384D88D1E30ULL);
   EXPECT_EQ(cd_lossy.trace_hash, 0x0FA217956D3014ABULL);
   EXPECT_EQ(nocd.trace_hash, 0xE8D014E39E2297D4ULL);
@@ -785,8 +892,7 @@ TEST(ResidualCompaction, RetiredNodeMaySleepAndFinish) {
   });
   sched.Run();
   EXPECT_TRUE(sched.AllFinished());
-  ASSERT_NE(sched.Residual(), nullptr);
-  EXPECT_EQ(sched.Residual()->ActiveCount(), 0u);
+  EXPECT_EQ(sched.Residual().ActiveCount(), 0u);
 }
 
 TEST(ResidualCompaction, FinishingImpliesRetirement) {
@@ -803,21 +909,8 @@ TEST(ResidualCompaction, FinishingImpliesRetirement) {
     return TransmitEachRound(api, 2);
   });
   sched.Run();
-  ASSERT_NE(sched.Residual(), nullptr);
-  EXPECT_EQ(sched.Residual()->ActiveCount(), 0u);
-  EXPECT_EQ(sched.Residual()->LiveEdges(), 0u);
-}
-
-TEST(ResidualCompaction, CompactionOffDisablesOverlayButKeepsInvariant) {
-  const ModeGuard pin_abort(ContractMode::kAbort);  // the check must throw
-  const Graph g = gen::Path(2);
-  Scheduler sched(g, {.compaction = false}, 1);
-  EXPECT_EQ(sched.Residual(), nullptr);
-  EXPECT_THROW(
-      sched.Spawn([](NodeApi api) -> proc::Task<void> {
-        return RetireThenTransmit(api);
-      }),
-      InvariantError);
+  EXPECT_EQ(sched.Residual().ActiveCount(), 0u);
+  EXPECT_EQ(sched.Residual().LiveEdges(), 0u);
 }
 
 // --- Parallel sweeps and telemetry -----------------------------------------
@@ -839,19 +932,14 @@ void ExpectSamePoints(const std::vector<SweepPoint>& a,
   }
 }
 
-TEST(ResidualCompaction, SweepsDeterministicAcrossJobsAndKnob) {
+TEST(ResidualCompaction, SweepsDeterministicAcrossJobs) {
   SweepConfig cfg;
   cfg.algorithm = MisAlgorithm::kNoCd;
   cfg.factory = families::SparseErdosRenyi(6.0);
   cfg.sizes = {48, 96};
   cfg.seeds_per_size = 4;
-  cfg.compaction = true;
   const std::vector<SweepPoint> serial = RunSweep(cfg);
-  const std::vector<SweepPoint> threaded = RunSweep(cfg, 4, nullptr);
-  ExpectSamePoints(serial, threaded);
-  SweepConfig off = cfg;
-  off.compaction = false;
-  ExpectSamePoints(serial, RunSweep(off, 4, nullptr));
+  ExpectSamePoints(serial, RunSweep(cfg, 4, nullptr));
 }
 
 TEST(ResidualCompaction, TelemetryReachesRegistry) {

@@ -4,8 +4,8 @@
 // shard count is BIT-IDENTICAL to the single-shard run — same decisions,
 // same rounds, same energy totals, same full trace hash. Pinned here:
 //   * fingerprint equality across shards {1, 2, 3, 4, 8} for every MIS core
-//     across loss {0, 0.1} x compaction {on, off}, and at 4 shards on a graph
-//     whose runs mix dispatched and one-part rounds;
+//     across loss {0, 0.1}, and at 4 shards on a graph whose runs mix
+//     dispatched and one-part rounds;
 //   * the frozen golden trace hashes of tests/test_residual_compaction.cpp
 //     reproduce at 4 shards (equivalence to the frozen behavior, not merely
 //     to today's single-shard build);
@@ -268,12 +268,28 @@ void PatchU32(const std::string& src, const std::string& dst, std::size_t at,
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Runs `emis_cli ARGS --quiet` and expects a usage exit (2) whose output
+/// contains `what`, so one rejection cannot pass for another (a bad flag
+/// for a bad file, say).
+void ExpectUsageError(const std::string& args, const std::string& what) {
+  const std::string cmd = std::string(EMIS_CLI_PATH) + " " + args + " --quiet 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << cmd;
+  std::string output;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  EXPECT_NE(output.find(what), std::string::npos) << cmd << "\n" << output;
+}
+
 // Three one-field patches of a packed path:n=2 that used to crash
 // `emis_cli run` (exit 139) or be accepted. Each is now a typed error and
-// exit 2 — on both engines, with the residual overlay on or off. Interior
-// offsets are checked at map time (an O(n) pass); ids and self-loops by
-// the first run on the mapping (Graph::RequireValidAdjacency, overlay on
-// or off), so loading still faults in no adjacency page.
+// exit 2 — on both engines. Interior offsets are checked at map time (an
+// O(n) pass); ids and self-loops by the first run on the mapping
+// (Graph::RequireValidAdjacency), so loading still faults in no adjacency
+// page.
 TEST(BinaryCsr, RejectsAdjacencyARunWouldTrust) {
   const std::string good = TempPath("path2.csr");
   PackTo(good, gen::Path(2));  // offsets {0, 1, 2}, adjacency {1, 0}
@@ -294,29 +310,52 @@ TEST(BinaryCsr, RejectsAdjacencyARunWouldTrust) {
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("monotone"), std::string::npos) << e.what();
   }
-  const std::pair<std::string, const char*> content_faults[] = {
-      {big_id, "node id"}, {loop, "self-loop"}};
-  for (const auto& [path, what] : content_faults) {
-    const Graph g = MapBinaryCsr(path);
-    for (const bool compaction : {true, false}) {
-      MisRunConfig cfg;
-      cfg.compaction = compaction;
+  const std::pair<std::string, const char*> faults[] = {
+      {big_id, "node id"}, {offset, "monotone"}, {loop, "self-loop"}};
+  for (const auto& [path, what] : faults) {
+    if (path != offset) {
+      const Graph g = MapBinaryCsr(path);
       try {
-        (void)RunMis(g, cfg);
-        ADD_FAILURE() << path << " ran with compaction " << compaction;
+        (void)RunMis(g, MisRunConfig{});
+        ADD_FAILURE() << path << " ran";
       } catch (const PreconditionError& e) {
         EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
       }
     }
+    for (const char* flags : {"", " --alg nocd", " --engine flat --shards 4",
+                              " --alg nocd --engine flat"}) {
+      ExpectUsageError("run --graph csr:" + path + flags, what);
+    }
   }
-  for (const std::string& path : {big_id, offset, loop}) {
-    for (const char* flags : {"", " --compaction off", " --engine flat --shards 4",
-                              " --alg nocd --engine flat --compaction off"}) {
-      const std::string cmd = std::string(EMIS_CLI_PATH) + " run --graph csr:" +
-                              path + flags + " --quiet 2>/dev/null";
-      const int status = std::system(cmd.c_str());
-      ASSERT_TRUE(WIFEXITED(status)) << cmd;
-      EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+}
+
+// A header max_degree (Δ, which sizes every backoff window) that is not the
+// longest row: 0 and 1 on path:n=3 (Δ = 2), and 0xFFFFFFFF on path:n=2,
+// which a run used to accept and silently run with a 2^32 - 1 window. The
+// map-time offsets pass recomputes Δ, so each is a typed error and exit 2
+// on both engines.
+TEST(BinaryCsr, RejectsMaxDegreeThatDoesNotMatchTheRows) {
+  constexpr std::size_t kMaxDegreeAt = 32;  // header field
+  const std::pair<Graph, std::uint32_t> cases[] = {
+      {gen::Path(3), 0}, {gen::Path(3), 1}, {gen::Path(2), 0xFFFFFFFFu}};
+  for (const auto& [g, patched] : cases) {
+    const std::string name = "max_degree_" + std::to_string(g.NumNodes()) + "_" +
+                             std::to_string(patched);
+    const std::string good = TempPath(name + "_good.csr");
+    const std::string bad = TempPath(name + ".csr");
+    PackTo(good, g);
+    EXPECT_EQ(MapBinaryCsr(good).MaxDegree(), g.MaxDegree());
+    PatchU32(good, bad, kMaxDegreeAt, patched);
+    try {
+      MapBinaryCsr(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("max_degree does not match its rows"),
+                std::string::npos)
+          << e.what();
+    }
+    for (const char* flags : {"", " --alg nocd", " --engine flat", " --alg nocd --engine flat"}) {
+      ExpectUsageError("run --graph csr:" + bad + flags, "max_degree does not match its rows");
     }
   }
 }
@@ -326,8 +365,8 @@ TEST(BinaryCsr, RejectsAdjacencyARunWouldTrust) {
 // (in-range, loop-free ids, so only the order check catches them). The
 // walk's row slices and the rebuild's stable filter trust
 // ascending rows, so each file is a typed error and exit 2 — on both
-// engines, overlay on or off — and stays one on a second run of the same
-// mapping (a failed check is not remembered as passed).
+// engines — and stays one on a second run of the same mapping (a failed
+// check is not remembered as passed).
 TEST(BinaryCsr, RejectsRowsThatAreNotStrictlyAscending) {
   constexpr std::size_t kAdjacencyStartAt = 48;  // header field
   std::vector<std::string> files;
@@ -354,29 +393,21 @@ TEST(BinaryCsr, RejectsRowsThatAreNotStrictlyAscending) {
     const Graph g = MapBinaryCsr(path);  // map time stays O(n): accepted
     for (const ExecutionEngine engine :
          {ExecutionEngine::kCoroutine, ExecutionEngine::kFlat}) {
-      for (const bool compaction : {true, false}) {
-        for (int attempt = 0; attempt < 2; ++attempt) {
-          MisRunConfig cfg;
-          cfg.engine = engine;
-          cfg.compaction = compaction;
-          try {
-            (void)RunMis(g, cfg);
-            ADD_FAILURE() << path << " ran: " << ToString(engine)
-                          << " compaction " << compaction;
-          } catch (const PreconditionError& e) {
-            EXPECT_NE(std::string(e.what()).find("strictly ascending"), std::string::npos)
-                << e.what();
-          }
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        MisRunConfig cfg;
+        cfg.engine = engine;
+        try {
+          (void)RunMis(g, cfg);
+          ADD_FAILURE() << path << " ran: " << ToString(engine);
+        } catch (const PreconditionError& e) {
+          EXPECT_NE(std::string(e.what()).find("strictly ascending"), std::string::npos)
+              << e.what();
         }
       }
     }
-    for (const char* flags : {"", " --compaction off", " --engine flat --shards 4",
-                              " --engine flat --compaction off"}) {
-      const std::string cmd = std::string(EMIS_CLI_PATH) + " run --graph csr:" +
-                              path + flags + " --quiet 2>/dev/null";
-      const int status = std::system(cmd.c_str());
-      ASSERT_TRUE(WIFEXITED(status)) << cmd;
-      EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    for (const char* flags : {"", " --alg nocd", " --engine flat --shards 4",
+                              " --engine flat"}) {
+      ExpectUsageError("run --graph csr:" + path + flags, "strictly ascending");
     }
   }
 }
@@ -384,7 +415,7 @@ TEST(BinaryCsr, RejectsRowsThatAreNotStrictlyAscending) {
 // An asymmetric file whose rows are each ascending, in range and loop-free:
 // hub 0 lists 1..100, whose rows are empty, and 101..151 list 0, which does
 // not list them back. A run rejects it up front (the adjacency check's pair
-// hash): a typed error and exit 2 on both engines, overlay on or off.
+// hash): a typed error and exit 2 on both engines.
 // Below the check, a residual built on it directly must still refuse it:
 // retiring 101..151 in one walked batch counts 51 deaths against the hub
 // that its row never held, so its ½ trigger fires at a live degree of 49
@@ -409,26 +440,18 @@ TEST(BinaryCsr, AsymmetricRowsAreATypedErrorNotAnOverflow) {
   ASSERT_EQ(g.NumEdges(), 75u);
   for (const ExecutionEngine engine :
        {ExecutionEngine::kCoroutine, ExecutionEngine::kFlat}) {
-    for (const bool compaction : {true, false}) {
-      MisRunConfig cfg;
-      cfg.engine = engine;
-      cfg.compaction = compaction;
-      try {
-        (void)RunMis(g, cfg);
-        ADD_FAILURE() << "ran: " << ToString(engine) << " compaction " << compaction;
-      } catch (const PreconditionError& e) {
-        EXPECT_NE(std::string(e.what()).find("not symmetric"), std::string::npos)
-            << e.what();
-      }
+    MisRunConfig cfg;
+    cfg.engine = engine;
+    try {
+      (void)RunMis(g, cfg);
+      ADD_FAILURE() << "ran: " << ToString(engine);
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("not symmetric"), std::string::npos) << e.what();
     }
   }
-  for (const char* flags : {"", " --compaction off", " --engine flat --shards 4",
+  for (const char* flags : {"", " --alg nocd", " --engine flat --shards 4",
                             " --alg nocd --engine flat"}) {
-    const std::string cmd = std::string(EMIS_CLI_PATH) + " run --graph csr:" + path +
-                            flags + " --quiet 2>/dev/null";
-    const int status = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    ExpectUsageError("run --graph csr:" + path + flags, "not symmetric");
   }
 
   std::vector<NodeId> ghosts;
@@ -493,7 +516,6 @@ struct RunFingerprint {
 
 RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
                                   MisAlgorithm algorithm, double loss,
-                                  bool compaction,
                                   ExecutionEngine engine = ExecutionEngine::kFlat) {
   HashTrace trace;
   obs::MetricsRegistry metrics;
@@ -505,7 +527,6 @@ RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
   cfg.trace = &trace;
   cfg.metrics = &metrics;
   cfg.link_loss = loss;
-  cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
   return {r.status,
@@ -537,19 +558,14 @@ TEST(ShardedRun, BitIdenticalAcrossShardCountsForEveryCore) {
   const Graph mixed = gen::ErdosRenyi(1100, 0.006, rng);
   for (MisAlgorithm algorithm : kCores) {
     for (double loss : {0.0, 0.1}) {
-      for (bool compaction : {true, false}) {
-        const RunFingerprint reference =
-            ShardedFingerprint(small, 1, algorithm, loss, compaction);
-        for (unsigned shards : {2u, 3u, 4u, 8u}) {
-          EXPECT_EQ(ShardedFingerprint(small, shards, algorithm, loss, compaction),
-                    reference)
-              << ToString(algorithm) << " loss " << loss << " compaction "
-              << compaction << " shards " << shards;
-        }
+      const RunFingerprint reference = ShardedFingerprint(small, 1, algorithm, loss);
+      for (unsigned shards : {2u, 3u, 4u, 8u}) {
+        EXPECT_EQ(ShardedFingerprint(small, shards, algorithm, loss), reference)
+            << ToString(algorithm) << " loss " << loss << " shards " << shards;
       }
     }
-    EXPECT_EQ(ShardedFingerprint(mixed, 4, algorithm, 0.0, true),
-              ShardedFingerprint(mixed, 1, algorithm, 0.0, true))
+    EXPECT_EQ(ShardedFingerprint(mixed, 4, algorithm, 0.0),
+              ShardedFingerprint(mixed, 1, algorithm, 0.0))
         << ToString(algorithm) << ", 1100 nodes";
   }
 }
@@ -559,11 +575,11 @@ TEST(ShardedRun, ReproducesPinnedGoldenTraceHashesAtFourShards) {
   // engine; the sharded flat path must reproduce the frozen behavior.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.0, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.0).trace_hash,
             0xB54A7384D88D1E30ULL);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.3, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.3).trace_hash,
             0x0FA217956D3014ABULL);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kNoCd, 0.0, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kNoCd, 0.0).trace_hash,
             0xE8D014E39E2297D4ULL);
 }
 
@@ -574,9 +590,9 @@ TEST(ShardedRun, BitIdenticalAboveTheInlineThreshold) {
   Rng rng(616);
   const Graph g = gen::ErdosRenyi(4096, 0.002, rng);
   const RunFingerprint reference =
-      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0, true);
+      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0);
   for (unsigned shards : {2u, 4u}) {
-    EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0, true),
+    EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0),
               reference)
         << "shards " << shards;
   }
@@ -609,7 +625,7 @@ TEST(ShardedRun, ResidualCountersPinnedWhereRetirePassesDispatch) {
         Pinned{MisAlgorithm::kNoCd, 2798, 5, 5619579, 67932, 5363}}) {
     const std::string what(ToString(pinned.algorithm));
     const RunFingerprint reference =
-        ShardedFingerprint(g, 1, pinned.algorithm, 0.0, true);
+        ShardedFingerprint(g, 1, pinned.algorithm, 0.0);
     EXPECT_EQ(reference.compactions, pinned.compactions) << what;
     EXPECT_EQ(reference.retire_rebuilds, pinned.retire_rebuilds) << what;
     EXPECT_EQ(reference.edges_reclaimed, 2 * g.NumEdges()) << what;
@@ -618,7 +634,7 @@ TEST(ShardedRun, ResidualCountersPinnedWhereRetirePassesDispatch) {
     EXPECT_EQ(reference.pull_rounds, pinned.pull_rounds) << what;
     for (ExecutionEngine engine : {ExecutionEngine::kFlat, ExecutionEngine::kCoroutine}) {
       for (unsigned shards : {1u, 2u, 3u, 4u}) {
-        EXPECT_EQ(ShardedFingerprint(g, shards, pinned.algorithm, 0.0, true, engine),
+        EXPECT_EQ(ShardedFingerprint(g, shards, pinned.algorithm, 0.0, engine),
                   reference)
             << what << " " << ToString(engine) << " shards " << shards;
       }
@@ -629,8 +645,8 @@ TEST(ShardedRun, ResidualCountersPinnedWhereRetirePassesDispatch) {
 TEST(ShardedRun, ShardCountExceedingNodesIsClamped) {
   const Graph g = gen::Path(5);
   const RunFingerprint reference =
-      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0, true);
-  EXPECT_EQ(ShardedFingerprint(g, 64, MisAlgorithm::kCd, 0.0, true), reference);
+      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0);
+  EXPECT_EQ(ShardedFingerprint(g, 64, MisAlgorithm::kCd, 0.0), reference);
 }
 
 // ---------------------------------------------------------------------------
@@ -932,24 +948,14 @@ TEST(ShardedRun, FlagTyposExitWithUsageError) {
     const char* flag;
   } kCases[] = {
       {"run --graph path:n=3 --alg cd --resolution pull", "--resolution"},
+      {"run --graph path:n=3 --alg cd --compaction off", "--compaction"},
+      {"sweep --alg cd --family er --sizes 16 --seeds 1 --compaction off", "--compaction"},
       {"run --graph path:n=3 --alg cd --engine flat --shard 4", "--shard"},
       {"run --graph path:n=3 --alg cd --trace trace.csv", "--trace"},
       {"sweep --alg cd --family er --sizes 16 --seeds 1 --graph path:n=3", "--graph"},
   };
   for (const auto& c : kCases) {
-    const std::string cmd =
-        std::string(EMIS_CLI_PATH) + " " + c.args + " --quiet 2>&1";
-    FILE* pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr) << cmd;
-    std::string output;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
-    const int status = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
-    EXPECT_NE(output.find(std::string("unknown flag ") + c.flag + " "),
-              std::string::npos)
-        << cmd << "\n" << output;
+    ExpectUsageError(c.args, std::string("unknown flag ") + c.flag + " ");
   }
 }
 

@@ -6,14 +6,13 @@
 //   emis_cli graph pack --graph <spec | file:PATH> [--seed S] --out FILE.csr
 //   emis_cli run   --graph <spec | file:PATH | csr:PATH> --alg <name>
 //                  [--seed S] [--preset practical|theory] [--delta-unknown]
-//                  [--compaction on|off] [--engine coroutine|flat]
-//                  [--shards N] [--trace-jsonl FILE.jsonl]
+//                  [--engine coroutine|flat] [--shards N]
+//                  [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
 //                  --sizes 64,128,... [--seeds K] [--delta-unknown]
-//                  [--avg-degree D] [--compaction on|off]
-//                  [--engine coroutine|flat]
+//                  [--avg-degree D] [--engine coroutine|flat]
 //                  [--shards N] [--jobs N] [--report-out FILE.json]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]
 //   emis_cli validate-report FILE.json
@@ -87,14 +86,14 @@ struct FlagSet {
 const FlagSet kGenFlags{"gen", {"seed", "out"}, {}};
 const FlagSet kGraphPackFlags{"graph pack", {"graph", "seed", "out"}, {"quiet"}};
 const FlagSet kRunFlags{"run",
-                        {"graph", "alg", "seed", "preset", "compaction", "engine",
-                         "shards", "trace-jsonl", "report-out", "flamegraph-out",
+                        {"graph", "alg", "seed", "preset", "engine", "shards",
+                         "trace-jsonl", "report-out", "flamegraph-out",
                          "telemetry-out", "heartbeat-every"},
                         {"delta-unknown", "quiet"}};
 const FlagSet kSweepFlags{"sweep",
-                          {"alg", "family", "sizes", "seeds", "avg-degree",
-                           "compaction", "engine", "shards", "jobs", "report-out",
-                           "telemetry-out", "heartbeat-every"},
+                          {"alg", "family", "sizes", "seeds", "avg-degree", "engine",
+                           "shards", "jobs", "report-out", "telemetry-out",
+                           "heartbeat-every"},
                           {"delta-unknown", "quiet"}};
 const FlagSet kValidateReportFlags{"validate-report", {}, {}};
 
@@ -123,13 +122,6 @@ Flags Parse(int argc, char** argv, int first, const FlagSet& accepted) {
     flags.named.insert_or_assign(std::string(key), std::string(argv[++i]));
   }
   return flags;
-}
-
-bool CompactionFlag(const Flags& flags) {
-  const std::string text = flags.Get("compaction", "on");
-  EMIS_REQUIRE(text == "on" || text == "off",
-               "--compaction must be on or off (got '" + text + "')");
-  return text == "on";
 }
 
 ExecutionEngine EngineFlag(const Flags& flags) {
@@ -232,7 +224,6 @@ int CmdRun(const Flags& flags) {
   EMIS_REQUIRE(preset == "practical" || preset == "theory",
                "--preset must be practical or theory");
   cfg.preset = preset == "theory" ? ParamPreset::kTheory : ParamPreset::kPractical;
-  cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   if (flags.Has("delta-unknown")) cfg.delta_estimate = g.NumNodes();
@@ -379,7 +370,6 @@ int CmdSweep(const Flags& flags) {
   cfg.algorithm = alg_it->second;
   cfg.seeds_per_size = static_cast<std::uint32_t>(std::stoul(flags.Get("seeds", "5")));
   cfg.delta_unknown = flags.Has("delta-unknown");
-  cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   // Sweep-wide metrics (merged across worker shards) feed the report's
@@ -501,7 +491,7 @@ int CmdValidateReport(const Flags& flags) {
 }
 
 /// The usage text, shared by `help` (exit 0) and usage errors (exit 2).
-/// Every run/sweep cost knob (--compaction, --engine, --shards) is listed
+/// Every run/sweep cost knob (--engine, --shards) is listed
 /// for both commands; tests/golden/emis_cli_help.txt snapshots this
 /// output.
 void PrintUsage() {
@@ -513,20 +503,17 @@ void PrintUsage() {
       "  emis_cli graph pack --graph <spec|file:PATH> [--seed S] --out FILE.csr\n"
       "  emis_cli run --graph <spec|file:PATH|csr:PATH> --alg <name> [--seed S]\n"
       "               [--preset practical|theory] [--delta-unknown]\n"
-      "               [--compaction on|off] [--engine coroutine|flat] [--shards N]\n"
-      "               [--trace-jsonl FILE.jsonl]\n"
+      "               [--engine coroutine|flat] [--shards N] [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]\n"
       "  emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>\n"
       "               --sizes 64,128,... [--seeds K] [--avg-degree D] [--delta-unknown]\n"
-      "               [--compaction on|off] [--engine coroutine|flat]\n"
-      "               [--shards N] [--jobs N] [--report-out FILE.json]\n"
+      "               [--engine coroutine|flat] [--shards N] [--jobs N]\n"
+      "               [--report-out FILE.json]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R] [--quiet]\n"
       "  emis_cli validate-report FILE.json\n"
       "                (run, bench, diff, and emis-lint-report/1|/2 schemas)\n"
       "cost knobs (identical results, different cost):\n"
-      "  --compaction  residual-graph compaction: on (default) drops retired\n"
-      "                nodes from channel scan rows; off scans seed CSR rows\n"
       "  --engine      execution backend: coroutine (default; override via\n"
       "                EMIS_ENGINE) resumes one coroutine per awake node;\n"
       "                flat advances packed per-node state machines\n"
